@@ -4,27 +4,35 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin report > EXPERIMENTS.md
+//! cargo run --release -p bench --bin report -- --section fig9
 //! ```
+//!
+//! `--section <name>` prints one section of the report; run with an
+//! unknown name to list them all.
 
-use bench::driver::{benchmark_programs, paper_sweep_configs, Driver, JobConfig};
-use bench::{geomean, measurement_of, slowdown, Measurement};
+use std::process::ExitCode;
+
+use bench::driver::CellOk;
+use bench::driver::{benchmark_programs, paper_sweep_configs, Driver, JobConfig, Report};
+use bench::{geomean, slowdown};
 use meminstrument::{Mechanism, MiMode, OptConfig};
 use mir::pipeline::ExtensionPoint;
 
 struct Data {
     bench: &'static str,
     size_unknown: bool,
-    base: Measurement,
-    sb: Measurement,
-    lf: Measurement,
-    sb_unopt: Measurement,
-    lf_unopt: Measurement,
-    sb_noloop: Measurement,
-    lf_noloop: Measurement,
-    sb_meta: Measurement,
-    lf_inv: Measurement,
-    sb_eps: [Measurement; 3],
-    lf_eps: [Measurement; 3],
+    base: CellOk,
+    sb: CellOk,
+    lf: CellOk,
+    rz: CellOk,
+    sb_unopt: CellOk,
+    lf_unopt: CellOk,
+    sb_noloop: CellOk,
+    lf_noloop: CellOk,
+    sb_meta: CellOk,
+    lf_inv: CellOk,
+    sb_eps: [CellOk; 3],
+    lf_eps: [CellOk; 3],
 }
 
 fn md_table(headers: &[&str], rows: &[Vec<String>]) {
@@ -36,52 +44,123 @@ fn md_table(headers: &[&str], rows: &[Vec<String>]) {
     println!();
 }
 
-fn main() {
-    // One parallel, cached sweep produces every cell of every figure.
-    let report = Driver::new(benchmark_programs(), paper_sweep_configs()).run();
-    let cell = |b: &cbench::Benchmark, cfg: JobConfig| measurement_of(&report, b, &cfg);
-    let mut data = Vec::new();
-    for b in cbench::all() {
-        let mk_eps = |mech: Mechanism| {
-            let mut it = ExtensionPoint::ALL
-                .into_iter()
-                .map(|ep| cell(&b, JobConfig::mechanism(mech).at(ep)));
-            [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()]
-        };
-        data.push(Data {
-            bench: b.name,
-            size_unknown: b.has_size_unknown_arrays,
-            sb: cell(&b, JobConfig::mechanism(Mechanism::SoftBound)),
-            lf: cell(&b, JobConfig::mechanism(Mechanism::LowFat)),
-            sb_unopt: cell(&b, JobConfig::mechanism(Mechanism::SoftBound).opt(OptConfig::none())),
-            lf_unopt: cell(&b, JobConfig::mechanism(Mechanism::LowFat).opt(OptConfig::none())),
-            sb_noloop: cell(
-                &b,
-                JobConfig::mechanism(Mechanism::SoftBound).opt(OptConfig::no_loops()),
-            ),
-            lf_noloop: cell(&b, JobConfig::mechanism(Mechanism::LowFat).opt(OptConfig::no_loops())),
-            sb_meta: cell(
-                &b,
-                JobConfig::mechanism(Mechanism::SoftBound).mode(MiMode::GenInvariantsOnly),
-            ),
-            lf_inv: cell(
-                &b,
-                JobConfig::mechanism(Mechanism::LowFat).mode(MiMode::GenInvariantsOnly),
-            ),
-            sb_eps: mk_eps(Mechanism::SoftBound),
-            lf_eps: mk_eps(Mechanism::LowFat),
-            base: cell(&b, JobConfig::baseline()),
-        });
-    }
+/// A named report section and its printer.
+type Section = (&'static str, fn(&Sweep));
 
+/// The report's sections, in print order.
+const SECTIONS: &[Section] = &[
+    ("table2", table2),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("checks_removed", checks_removed),
+    ("check_opts", check_opts),
+    ("ipo", ipo),
+    ("cost_breakdown", cost_breakdown),
+    ("extensions", extensions),
+    ("mechanisms", mechanisms),
+    ("memory_overhead", memory_overhead),
+    ("wrapper_checks", wrapper_checks),
+    ("driver", driver),
+];
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let only = match args.as_slice() {
+        [] => None,
+        [flag, name] if flag == "--section" => match SECTIONS.iter().find(|(n, _)| n == name) {
+            Some(section) => Some(section),
+            None => {
+                let names: Vec<&str> = SECTIONS.iter().map(|(n, _)| *n).collect();
+                eprintln!("unknown section {name:?}; sections: {}", names.join(", "));
+                return ExitCode::from(2);
+            }
+        },
+        _ => {
+            eprintln!("usage: report [--section <name>]");
+            return ExitCode::from(2);
+        }
+    };
+    let sweep = Sweep::run();
+    match only {
+        Some((_, print)) => print(&sweep),
+        None => {
+            header();
+            for (_, print) in SECTIONS {
+                print(&sweep);
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// The paper sweep and its per-benchmark view.
+struct Sweep {
+    report: Report,
+    data: Vec<Data>,
+}
+
+impl Sweep {
+    fn run() -> Sweep {
+        // One parallel, cached sweep produces every cell of every figure.
+        let report = Driver::new(benchmark_programs(), paper_sweep_configs()).run();
+        let cell = |b: &cbench::Benchmark, cfg: JobConfig| report.ok(b.name, &cfg).clone();
+        let mut data = Vec::new();
+        for b in cbench::all() {
+            let mk_eps = |mech: Mechanism| {
+                let mut it = ExtensionPoint::ALL
+                    .into_iter()
+                    .map(|ep| cell(&b, JobConfig::mechanism(mech).at(ep)));
+                [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()]
+            };
+            data.push(Data {
+                bench: b.name,
+                size_unknown: b.has_size_unknown_arrays,
+                sb: cell(&b, JobConfig::mechanism(Mechanism::SoftBound)),
+                lf: cell(&b, JobConfig::mechanism(Mechanism::LowFat)),
+                rz: cell(&b, JobConfig::mechanism(Mechanism::RedZone)),
+                sb_unopt: cell(
+                    &b,
+                    JobConfig::mechanism(Mechanism::SoftBound).opt(OptConfig::none()),
+                ),
+                lf_unopt: cell(&b, JobConfig::mechanism(Mechanism::LowFat).opt(OptConfig::none())),
+                sb_noloop: cell(
+                    &b,
+                    JobConfig::mechanism(Mechanism::SoftBound).opt(OptConfig::no_loops()),
+                ),
+                lf_noloop: cell(
+                    &b,
+                    JobConfig::mechanism(Mechanism::LowFat).opt(OptConfig::no_loops()),
+                ),
+                sb_meta: cell(
+                    &b,
+                    JobConfig::mechanism(Mechanism::SoftBound).mode(MiMode::GenInvariantsOnly),
+                ),
+                lf_inv: cell(
+                    &b,
+                    JobConfig::mechanism(Mechanism::LowFat).mode(MiMode::GenInvariantsOnly),
+                ),
+                sb_eps: mk_eps(Mechanism::SoftBound),
+                lf_eps: mk_eps(Mechanism::LowFat),
+                base: cell(&b, JobConfig::baseline()),
+            });
+        }
+        Sweep { report, data }
+    }
+}
+
+fn header() {
     println!("# EXPERIMENTS — paper vs. measured\n");
     println!("Generated by `cargo run --release -p bench --bin report`. \"Time\" is the");
     println!("deterministic VM cost (see `memvm::cost`); all ratios are relative to the");
     println!("uninstrumented `-O3` baseline. Expected values are from the paper; this");
     println!("reproduction targets the *shapes* (who wins, where, by roughly how much),");
     println!("not absolute SPEC wall-clock numbers.\n");
+}
 
-    // ----- Table 2 -----
+fn table2(sweep: &Sweep) {
     println!("## Table 2 — wide-bounds (unsafe) dereference checks, %\n");
     println!("`*` marks configurations without a single wide check; `[sz]` marks");
     println!("benchmarks with size-less array declarations (bold in the paper).");
@@ -119,7 +198,8 @@ fn main() {
         ("470lbm", "0.00*", "n/a"),
         ("482sphinx3", "0.00*", "n/a"),
     ];
-    let rows: Vec<Vec<String>> = data
+    let rows: Vec<Vec<String>> = sweep
+        .data
         .iter()
         .map(|d| {
             let paper = paper_t2.iter().find(|(n, _, _)| *n == d.bench).unwrap();
@@ -135,8 +215,10 @@ fn main() {
     md_table(&["benchmark", "SB paper", "SB measured", "LF paper", "LF measured"], &rows);
     println!("(The paper's table truncates the Low-Fat column for the CPU2006 half;");
     println!("`n/a` marks entries not visible in the text. §4.6 states 429mcf ≈ 54 %.)\n");
+}
 
-    // ----- Figure 9 -----
+fn fig9(sweep: &Sweep) {
+    let data = &sweep.data;
     println!("## Figure 9 — execution-time overhead (optimized, VectorizerStart)\n");
     let rows: Vec<Vec<String>> = data
         .iter()
@@ -156,93 +238,102 @@ fn main() {
     println!("Means: SoftBound **{sb_mean:.2}x** (paper 1.74x), Low-Fat **{lf_mean:.2}x** (paper 1.77x).");
     println!("Shape checks: `183equake` SoftBound-dominated (trie lookups in the hot loop, §5.2);");
     println!("`186crafty` Low-Fat-dominated (wider check sequence, §5.2).\n");
+}
 
-    // ----- Figures 10/11 -----
-    for (title, full, third_label, paper_note) in [
-        (
-            "Figure 10 — SoftBound: optimized / unoptimized / metadata only",
-            data.iter().map(|d| (d.bench, &d.sb, &d.sb_unopt, &d.sb_meta)).collect::<Vec<_>>(),
-            "metadata",
-            "paper: optimized ≈ unoptimized (§5.3); metadata cost dominates for pointer-intensive benchmarks (197parser); unused metadata loads are DCE'd, underapproximating propagation cost (§5.4)",
-        ),
-        (
-            "Figure 11 — Low-Fat: optimized / unoptimized / invariants only",
-            data.iter().map(|d| (d.bench, &d.lf, &d.lf_unopt, &d.lf_inv)).collect::<Vec<_>>(),
-            "invariants",
-            "paper: the dominance optimization's runtime impact is minor; invariant checks at pointer escapes carry the residual overhead",
-        ),
-    ] {
-        println!("## {title}\n");
-        let mut m_full = vec![];
-        let mut m_unopt = vec![];
-        let mut m_third = vec![];
-        let rows: Vec<Vec<String>> = full
-            .iter()
-            .map(|(name, f, u, t)| {
-                let d = data.iter().find(|d| d.bench == *name).unwrap();
-                let (sf, su, st) =
-                    (slowdown(f, &d.base), slowdown(u, &d.base), slowdown(t, &d.base));
-                m_full.push(sf);
-                m_unopt.push(su);
-                m_third.push(st);
-                vec![
-                    (*name).into(),
-                    format!("{sf:.2}x"),
-                    format!("{su:.2}x"),
-                    format!("{st:.2}x"),
-                ]
-            })
-            .collect();
-        md_table(&["benchmark", "optimized", "unoptimized", third_label], &rows);
-        println!(
-            "Means: optimized {:.2}x, unoptimized {:.2}x, {} only {:.2}x. \n{paper_note}.\n",
-            geomean(&m_full),
-            geomean(&m_unopt),
-            third_label,
-            geomean(&m_third)
-        );
-    }
+fn fig10(sweep: &Sweep) {
+    variants(
+        sweep,
+        "Figure 10 — SoftBound: optimized / unoptimized / metadata only",
+        |d| [&d.sb, &d.sb_unopt, &d.sb_meta],
+        "metadata",
+        "paper: optimized ≈ unoptimized (§5.3); metadata cost dominates for pointer-intensive benchmarks (197parser); unused metadata loads are DCE'd, underapproximating propagation cost (§5.4)",
+    );
+}
 
-    // ----- Figures 12/13 -----
-    for (title, eps) in [
-        (
-            "Figure 12 — SoftBound at the three extension points",
-            data.iter().map(|d| (d.bench, &d.sb_eps)).collect::<Vec<_>>(),
-        ),
-        (
-            "Figure 13 — Low-Fat at the three extension points",
-            data.iter().map(|d| (d.bench, &d.lf_eps)).collect::<Vec<_>>(),
-        ),
-    ] {
-        println!("## {title}\n");
-        let mut means: Vec<Vec<f64>> = vec![vec![]; 3];
-        let rows: Vec<Vec<String>> = eps
-            .iter()
-            .map(|(name, ms)| {
-                let d = data.iter().find(|d| d.bench == *name).unwrap();
-                let mut row = vec![(*name).to_string()];
-                for (i, m) in ms.iter().enumerate() {
-                    let s = slowdown(m, &d.base);
-                    means[i].push(s);
-                    row.push(format!("{s:.2}x"));
-                }
-                row
-            })
-            .collect();
-        md_table(
-            &["benchmark", "ModuleOptimizerEarly", "ScalarOptimizerLate", "VectorizerStart"],
-            &rows,
-        );
-        let (e, s, v) = (geomean(&means[0]), geomean(&means[1]), geomean(&means[2]));
-        println!(
-            "Means: early {e:.2}x, scalar-late {s:.2}x, vectorizer-start {v:.2}x — the early point carries {:.0} % more overhead (paper: ~30 %; the two late points are comparable).\n",
-            100.0 * ((e - 1.0) / (v - 1.0) - 1.0)
-        );
-    }
+fn fig11(sweep: &Sweep) {
+    variants(
+        sweep,
+        "Figure 11 — Low-Fat: optimized / unoptimized / invariants only",
+        |d| [&d.lf, &d.lf_unopt, &d.lf_inv],
+        "invariants",
+        "paper: the dominance optimization's runtime impact is minor; invariant checks at pointer escapes carry the residual overhead",
+    );
+}
 
-    // ----- §5.3 static elimination -----
+/// Figures 10/11: one mechanism optimized / unoptimized / `third_label`
+/// only.
+fn variants(
+    sweep: &Sweep,
+    title: &str,
+    series: fn(&Data) -> [&CellOk; 3],
+    third_label: &str,
+    paper_note: &str,
+) {
+    println!("## {title}\n");
+    let mut means: Vec<Vec<f64>> = vec![vec![]; 3];
+    let rows: Vec<Vec<String>> = sweep
+        .data
+        .iter()
+        .map(|d| {
+            let mut row = vec![d.bench.to_string()];
+            for (i, m) in series(d).into_iter().enumerate() {
+                let s = slowdown(m, &d.base);
+                means[i].push(s);
+                row.push(format!("{s:.2}x"));
+            }
+            row
+        })
+        .collect();
+    md_table(&["benchmark", "optimized", "unoptimized", third_label], &rows);
+    println!(
+        "Means: optimized {:.2}x, unoptimized {:.2}x, {} only {:.2}x. \n{paper_note}.\n",
+        geomean(&means[0]),
+        geomean(&means[1]),
+        third_label,
+        geomean(&means[2])
+    );
+}
+
+fn fig12(sweep: &Sweep) {
+    extension_points(sweep, "Figure 12 — SoftBound at the three extension points", |d| &d.sb_eps);
+}
+
+fn fig13(sweep: &Sweep) {
+    extension_points(sweep, "Figure 13 — Low-Fat at the three extension points", |d| &d.lf_eps);
+}
+
+/// Figures 12/13: one mechanism at the three extension points.
+fn extension_points(sweep: &Sweep, title: &str, eps: fn(&Data) -> &[CellOk; 3]) {
+    println!("## {title}\n");
+    let mut means: Vec<Vec<f64>> = vec![vec![]; 3];
+    let rows: Vec<Vec<String>> = sweep
+        .data
+        .iter()
+        .map(|d| {
+            let mut row = vec![d.bench.to_string()];
+            for (i, m) in eps(d).iter().enumerate() {
+                let s = slowdown(m, &d.base);
+                means[i].push(s);
+                row.push(format!("{s:.2}x"));
+            }
+            row
+        })
+        .collect();
+    md_table(
+        &["benchmark", "ModuleOptimizerEarly", "ScalarOptimizerLate", "VectorizerStart"],
+        &rows,
+    );
+    let (e, s, v) = (geomean(&means[0]), geomean(&means[1]), geomean(&means[2]));
+    println!(
+        "Means: early {e:.2}x, scalar-late {s:.2}x, vectorizer-start {v:.2}x — the early point carries {:.0} % more overhead (paper: ~30 %; the two late points are comparable).\n",
+        100.0 * ((e - 1.0) / (v - 1.0) - 1.0)
+    );
+}
+
+fn checks_removed(sweep: &Sweep) {
     println!("## §5.3 — checks removed by the dominance optimization\n");
-    let rows: Vec<Vec<String>> = data
+    let rows: Vec<Vec<String>> = sweep
+        .data
         .iter()
         .map(|d| {
             vec![
@@ -255,8 +346,9 @@ fn main() {
         .collect();
     md_table(&["benchmark", "discovered", "eliminated", "share"], &rows);
     println!("paper: between 8 % (177mesa) and 50 % (256bzip2) of checks removed, minor runtime impact.\n");
-
-    // ----- Check optimizations: dominance + the loop-aware extension -----
+}
+fn check_opts(sweep: &Sweep) {
+    let data = &sweep.data;
     println!("## Check optimizations — dominance, loop hoisting, range widening\n");
     println!("Static effect of the full §5.3-style optimization stack per mechanism:");
     println!("`eliminated` (dominance + preheader merging), `hoisted` (loop-invariant");
@@ -271,11 +363,6 @@ fn main() {
             [(&d.sb, &d.sb_noloop, "softbound"), (&d.lf, &d.lf_noloop, "lowfat")].map(
                 |(full, noloop, name)| {
                     let (fe, ne) = (full.stats.checks_executed, noloop.stats.checks_executed);
-                    let delta = if ne == 0 {
-                        "-".to_string()
-                    } else {
-                        format!("-{:.1}%", 100.0 * (ne.saturating_sub(fe)) as f64 / ne as f64)
-                    };
                     vec![
                         d.bench.into(),
                         name.into(),
@@ -284,7 +371,7 @@ fn main() {
                         full.instr.checks_widened.to_string(),
                         fe.to_string(),
                         ne.to_string(),
-                        delta,
+                        reduction(fe, ne),
                     ]
                 },
             )
@@ -303,7 +390,7 @@ fn main() {
         ],
         &rows,
     );
-    let loop_delta = |full: &Measurement, noloop: &Measurement| {
+    let loop_delta = |full: &CellOk, noloop: &CellOk| {
         noloop.stats.checks_executed.saturating_sub(full.stats.checks_executed)
     };
     let saved: u64 = data.iter().map(|d| loop_delta(&d.sb, &d.sb_noloop)).sum();
@@ -312,8 +399,19 @@ fn main() {
         "Across the suite the loop-aware optimizations remove {saved} dynamic SoftBound checks ({benches_helped}/{} benchmarks improved) without changing any program output.\n",
         data.len()
     );
+}
 
-    // ----- Interprocedural elision -----
+/// The dynamic-check reduction from `without` to `with` checks, as a
+/// negative percentage (`-` when nothing ran without).
+fn reduction(with: u64, without: u64) -> String {
+    if without == 0 {
+        "-".to_string()
+    } else {
+        format!("-{:.1}%", 100.0 * (without.saturating_sub(with)) as f64 / without as f64)
+    }
+}
+
+fn ipo(sweep: &Sweep) {
     println!("## Interprocedural elision — summary-based whole-program analysis\n");
     println!("`mir::analysis::ipo` computes per-function pointer summaries");
     println!("(provenance, byte-offset range, minimum extent) bottom-up over the");
@@ -338,27 +436,19 @@ fn main() {
     .run();
     let mut cells_helped = 0usize;
     let mut total_saved: u64 = 0;
-    let rows: Vec<Vec<String>> = data
+    let rows: Vec<Vec<String>> = sweep
+        .data
         .iter()
         .flat_map(|d| {
-            let b = cbench::by_name(d.bench).unwrap();
             ipo_mechs.map(|(mech, name)| {
-                let full = cell(&b, JobConfig::mechanism(mech));
-                let noipo = measurement_of(
-                    &noipo_report,
-                    &b,
-                    &JobConfig::mechanism(mech).opt(OptConfig::no_ipo()),
-                );
+                let full = sweep.report.ok(d.bench, &JobConfig::mechanism(mech));
+                let noipo =
+                    noipo_report.ok(d.bench, &JobConfig::mechanism(mech).opt(OptConfig::no_ipo()));
                 let (fe, ne) = (full.stats.checks_executed, noipo.stats.checks_executed);
                 if fe < ne {
                     cells_helped += 1;
                     total_saved += ne - fe;
                 }
-                let delta = if ne == 0 {
-                    "-".to_string()
-                } else {
-                    format!("-{:.1}%", 100.0 * (ne.saturating_sub(fe)) as f64 / ne as f64)
-                };
                 vec![
                     d.bench.into(),
                     name.into(),
@@ -366,7 +456,7 @@ fn main() {
                     full.instr.checks_elided_ipo.to_string(),
                     fe.to_string(),
                     ne.to_string(),
-                    delta,
+                    reduction(fe, ne),
                 ]
             })
         })
@@ -387,14 +477,16 @@ fn main() {
         "Interprocedural elision removes {total_saved} dynamic checks beyond the loop optimizations, improving {cells_helped} of {} (program, mechanism) cells. Summaries are cached per pipeline prefix in the artifact store's `summaries` level (one entry serves every mechanism and flag combination of a snapshot) and disabled with `--no-opt-ipo` / the `-noipo` config label.\n",
         rows.len()
     );
+}
 
-    // ----- §5.4 cost attribution -----
+fn cost_breakdown(sweep: &Sweep) {
     println!("## §5.4 — overhead attribution (fraction of baseline cost)\n");
-    let rows: Vec<Vec<String>> = data
+    let rows: Vec<Vec<String>> = sweep
+        .data
         .iter()
         .flat_map(|d| {
             [(&d.sb, "softbound"), (&d.lf, "lowfat")].map(|(m, name)| {
-                let frac = |x: u64| format!("{:.2}", x as f64 / d.base.cost as f64);
+                let frac = |x: u64| format!("{:.2}", x as f64 / d.base.stats.cost_total as f64);
                 vec![
                     d.bench.into(),
                     name.into(),
@@ -410,19 +502,14 @@ fn main() {
     println!("The checks-vs-metadata split shows the same asymmetry the paper reports:");
     println!("SoftBound's metadata share grows with pointer traffic (181mcf, 197parser,");
     println!("183equake), while Low-Fat pays almost everything in the checks themselves.");
+}
 
-    // ----- Extensions beyond the paper -----
+fn extensions(sweep: &Sweep) {
+    let data = &sweep.data;
     println!("\n## Extensions beyond the paper\n");
-    let rz: Vec<f64> = data
-        .iter()
-        .map(|d| {
-            let b = cbench::by_name(d.bench).unwrap();
-            let m = cell(&b, JobConfig::mechanism(Mechanism::RedZone));
-            slowdown(&m, &d.base)
-        })
-        .collect();
+    let rz: Vec<f64> = data.iter().map(|d| slowdown(&d.rz, &d.base)).collect();
     println!(
-        "* **Third mechanism (red zones, ASan-style)**: geometric-mean slowdown **{:.2}x** — cheaper than both paper mechanisms, with the weaker guarantees §2.1 describes (misses any overflow that clears the 16-byte guard zone; see `tests/redzone.rs` and `cargo run -p bench --bin mechanisms`).",
+        "* **Third mechanism (red zones, ASan-style)**: geometric-mean slowdown **{:.2}x** — cheaper than both paper mechanisms, with the weaker guarantees §2.1 describes (misses any overflow that clears the 16-byte guard zone; see `tests/redzone.rs` and the mechanism table below).",
         geomean(&rz)
     );
     let mem_lf = geomean(
@@ -432,13 +519,105 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!(
-        "* **Memory overhead**: Low-Fat's size-class padding maps **{mem_lf:.2}x** the baseline's program memory (geo-mean); SoftBound's program memory is unchanged (its metadata is disjoint); red zones sit in between (`cargo run -p bench --bin memory_overhead`)."
+        "* **Memory overhead**: Low-Fat's size-class padding maps **{mem_lf:.2}x** the baseline's program memory (geo-mean); SoftBound's program memory is unchanged (its metadata is disjoint); red zones sit in between (memory table below)."
     );
     println!(
-        "* **Wrapper checks (§5.1.2)** and **Appendix-B member-bounds narrowing** are implemented behind `MiConfig` flags with dedicated harnesses/tests (`wrapper_checks`, `tests/narrowing.rs`)."
+        "* **Wrapper checks (§5.1.2)** and **Appendix-B member-bounds narrowing** are implemented behind `MiConfig` flags (config labels `+wrap`, `+narrow`), with the wrapper-check ablation below and `tests/narrowing.rs`."
     );
+}
 
-    // ----- Evaluation driver -----
+fn mechanisms(sweep: &Sweep) {
+    println!("\n### Mechanisms — SoftBound / Low-Fat / RedZone (paper basis config)\n");
+    let mut means: Vec<Vec<f64>> = vec![vec![]; 3];
+    let rows: Vec<Vec<String>> = sweep
+        .data
+        .iter()
+        .map(|d| {
+            let mut row = vec![d.bench.to_string()];
+            for (i, m) in [&d.sb, &d.lf, &d.rz].into_iter().enumerate() {
+                let s = slowdown(m, &d.base);
+                means[i].push(s);
+                row.push(format!("{s:.2}x"));
+            }
+            row
+        })
+        .collect();
+    md_table(&["benchmark", "softbound", "lowfat", "redzone"], &rows);
+    println!(
+        "Means: softbound {:.2}x, lowfat {:.2}x, redzone {:.2}x. Guarantees (see `tests/redzone.rs`):",
+        geomean(&means[0]),
+        geomean(&means[1]),
+        geomean(&means[2])
+    );
+    println!("softbound checks exact object bounds and catches every spatial error, 1-byte");
+    println!("overflows included; lowfat checks padded object bounds, missing overflows");
+    println!("into the padding but rejecting escaping out-of-bounds pointers; redzone");
+    println!("catches adjacent overflows only and is silent once an access clears the");
+    println!("16-byte guard zone.");
+}
+
+fn memory_overhead(sweep: &Sweep) {
+    println!("\n### Memory overhead — mapped program bytes relative to the -O3 baseline\n");
+    let mut means: Vec<Vec<f64>> = vec![vec![]; 3];
+    let rows: Vec<Vec<String>> = sweep
+        .data
+        .iter()
+        .map(|d| {
+            let base = d.base.stats.mapped_bytes;
+            let mut row = vec![d.bench.to_string(), format!("{} KiB", base / 1024)];
+            for (i, m) in [&d.sb, &d.lf, &d.rz].into_iter().enumerate() {
+                let ratio = m.stats.mapped_bytes as f64 / base as f64;
+                means[i].push(ratio);
+                row.push(format!("{ratio:.2}x"));
+            }
+            row
+        })
+        .collect();
+    md_table(&["benchmark", "baseline", "softbound", "lowfat", "redzone"], &rows);
+    println!(
+        "Means: softbound {:.2}x, lowfat {:.2}x, redzone {:.2}x. SoftBound's disjoint metadata",
+        geomean(&means[0]),
+        geomean(&means[1]),
+        geomean(&means[2])
+    );
+    println!("lives host-side (trie slots, shadow stack) and is not mapped program memory.");
+}
+
+fn wrapper_checks(_: &Sweep) {
+    println!("\n### Wrapper checks (§5.1.2) — SoftBound with libc-wrapper checks on/off\n");
+    let sb = JobConfig::mechanism(Mechanism::SoftBound);
+    let wrap = sb.clone().configure(|c| c.sb_wrapper_checks = true);
+    let base = JobConfig::baseline();
+    let report =
+        Driver::new(benchmark_programs(), vec![base.clone(), sb.clone(), wrap.clone()]).run();
+    let (mut offs, mut ons) = (vec![], vec![]);
+    let rows: Vec<Vec<String>> = cbench::all()
+        .iter()
+        .map(|b| {
+            let [base, off, on] = [&base, &sb, &wrap].map(|c| report.ok(b.name, c));
+            let (so, sn) = (slowdown(off, base), slowdown(on, base));
+            offs.push(so);
+            ons.push(sn);
+            vec![
+                b.name.to_string(),
+                format!("{so:.2}x"),
+                format!("{sn:.2}x"),
+                format!("+{}", on.stats.checks_executed - off.stats.checks_executed),
+            ]
+        })
+        .collect();
+    md_table(&["benchmark", "checks off (paper)", "checks on", "extra checks"], &rows);
+    println!(
+        "Means: checks off {:.2}x, checks on {:.2}x. Wrapper checks trade a little runtime for",
+        geomean(&offs),
+        geomean(&ons)
+    );
+    println!("catching overflowing memcpy/memset ranges inside the (uninstrumented) libc");
+    println!("(§4.3, Fig. 6); the paper disables them for the runtime comparison.");
+}
+
+fn driver(sweep: &Sweep) {
+    let report = &sweep.report;
     println!("\n## Evaluation driver\n");
     println!("This report was produced by a single run of the `evald` driver");
     println!("(`bench::driver`): the full sweep above is one job matrix of");
@@ -462,8 +641,9 @@ fn main() {
     );
     println!("\nThe same sweep is available as machine-readable JSON");
     println!("(`schema: evald-report/2`, deterministic ordering — byte-identical for");
-    println!("any `--jobs` value) via `mi eval --jobs N --out report.json`. Figure →");
-    println!("sweep mapping: `fig9_configs` (baseline + both mechanisms),");
-    println!("`variants_configs` (Figs. 10/11), `extension_point_configs`");
-    println!("(Figs. 12/13), `paper_sweep_configs` (this report and `mi eval`).");
+    println!("any `--jobs` value) via `mi eval --jobs N --out report.json`. Every");
+    println!("section of this report is built from that one sweep");
+    println!("(`paper_sweep_configs`), except the `-noipo` and wrapper-check");
+    println!("comparisons, which run their own small driver; `report --section <name>`");
+    println!("prints a single section.");
 }

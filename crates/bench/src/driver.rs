@@ -7,13 +7,16 @@
 //! The driver instead:
 //!
 //! 1. enumerates the sweep as an explicit job matrix
-//!    ([`Driver::programs`] × [`Driver::configs`]);
-//! 2. executes jobs on `--jobs` worker threads (`std::thread::scope`, no
-//!    dependencies);
-//! 3. caches the frontend [`mir::Module`] per program and the
-//!    post-optimization pipeline prefix per (program, opt level, extension
-//!    point) — see [`meminstrument::runtime::pipeline_prefix`] — so shared
-//!    compilation work happens once per sweep, not once per cell;
+//!    ([`Driver::programs`] × [`Driver::configs`], see
+//!    [`crate::job::job_matrix`]);
+//! 2. runs every cell through [`crate::job::run_job`] — the same function
+//!    body the `mi serve` daemon and the fuzz oracle use — on `--jobs`
+//!    worker threads (`std::thread::scope`, no dependencies);
+//! 3. shares one single-flight [`ArtifactStore`] across the sweep, so the
+//!    frontend [`mir::Module`] per program and the pipeline prefix per
+//!    (program, opt level, extension point) are built once per sweep, not
+//!    once per cell; the store's frontend/prefix hit and miss counters are
+//!    the report's `cache` block;
 //! 4. records wall-clock per stage (frontend, pipeline, instrumentation,
 //!    execution) next to the existing [`InstrStats`]/[`VmStats`] and can
 //!    serialize everything into a machine-readable JSON report with a
@@ -29,21 +32,18 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use meminstrument::runtime::{
-    compile_baseline_from_prefix, compile_baseline_from_prefix_traced, compile_from_prefix_traced,
-    compile_from_prefix_with_summaries, pipeline_prefix, pipeline_prefix_traced, BuildOptions,
-};
 use meminstrument::{InstrStats, Instrument, Mechanism, MiMode, OptConfig};
 use memvm::{MemCounters, OpMetrics, SiteProfile, VmConfig, VmStats};
-use mir::analysis::ipo::ModuleSummaries;
-use mir::pipeline::{ExtensionPoint, OptLevel};
+use mir::pipeline::ExtensionPoint;
 use mir::trace::TraceRecorder;
 use telemetry::{FoldedStacks, Registry};
 
+use crate::job::{job_matrix, program_hash, run_job, JobCtl, JobError, JobOutcome, JobTraces};
 use crate::json::{json_str, json_str_array};
+use crate::store::ArtifactStore;
 
 /// A program to evaluate: a name plus its mini-C source.
 #[derive(Clone, Debug)]
@@ -161,9 +161,8 @@ pub struct CellResult {
     pub config: String,
     /// Execution outcome; `Err` carries the classified trap.
     pub outcome: Result<CellOk, CellTrap>,
-    /// Wall-clock spent in this cell's stages (the frontend/pipeline
-    /// portions are the shared cached stages, attributed to every cell
-    /// that consumed them).
+    /// Wall-clock spent in this cell's stages. The shared frontend and
+    /// pipeline stages are charged only to the cell that built them.
     pub timing: CellTiming,
 }
 
@@ -178,15 +177,20 @@ impl CellResult {
     }
 }
 
-/// Per-cell stage wall-clock.
+/// Per-cell stage wall-clock. A stage the cell found in the artifact
+/// store costs zero here: the shared frontend and pipeline-prefix stages
+/// are charged to the one cell that built them, so sums over cells count
+/// each unique stage once.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CellTiming {
-    /// Frontend compile of this cell's program (shared across its cells).
+    /// Frontend compile of this cell's program (nonzero only for the cell
+    /// that built it).
     pub frontend: Duration,
-    /// Pipeline prefix up to the extension point (shared per (program,
-    /// opt, ep)).
+    /// Pipeline prefix up to the extension point (nonzero only for the
+    /// cell that built it).
     pub pipeline: Duration,
-    /// Instrumentation + post-prefix pipeline stages (per cell).
+    /// Interprocedural summaries (when this cell built them) plus
+    /// instrumentation and the post-prefix pipeline stages.
     pub instrumentation: Duration,
     /// VM setup: loading the module, installing the runtime, and — under
     /// the bytecode backend — compiling to bytecode (per cell). Zero-cost
@@ -196,11 +200,12 @@ pub struct CellTiming {
     pub execution: Duration,
 }
 
-/// Cache effectiveness counters. Deterministic: they count the matrix
-/// shape, not scheduling.
+/// Cache effectiveness counters: a view of the sweep store's frontend and
+/// prefix miss/hit counters. Deterministic, because the store builds each
+/// key exactly once whatever the scheduling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Frontend compilations performed (one per program).
+    /// Frontend compilations performed (one per distinct program).
     pub frontend_compiles: u64,
     /// Cells that reused a cached frontend module.
     pub frontend_reuses: u64,
@@ -208,6 +213,22 @@ pub struct CacheStats {
     pub prefix_compiles: u64,
     /// Cells that reused a cached prefix.
     pub prefix_reuses: u64,
+}
+
+impl CacheStats {
+    /// Reads the frontend and prefix counters of `store`.
+    pub fn of(store: &ArtifactStore) -> CacheStats {
+        let reg = store.metrics();
+        let count = |level, outcome| {
+            reg.counter("store_lookups", &[("level", level), ("outcome", outcome)])
+        };
+        CacheStats {
+            frontend_compiles: count("frontend", "miss"),
+            frontend_reuses: count("frontend", "hit"),
+            prefix_compiles: count("prefix", "miss"),
+            prefix_reuses: count("prefix", "hit"),
+        }
+    }
 }
 
 /// Aggregate wall-clock of a sweep, per stage.
@@ -221,7 +242,8 @@ pub struct SweepTimings {
     pub frontend: Duration,
     /// Sum over unique pipeline prefixes.
     pub pipeline: Duration,
-    /// Sum over cells: instrumentation + pipeline completion.
+    /// Sum over cells: instrumentation + pipeline completion (and the
+    /// unique interprocedural summaries).
     pub instrumentation: Duration,
     /// Sum over cells: VM setup (module load, runtime install, bytecode
     /// compilation).
@@ -556,175 +578,109 @@ impl Driver {
         self
     }
 
-    /// The sweep as typed job specs (program-major matrix order, `run`
-    /// action) — what `mi bench-serve` submits to a daemon to replay this
-    /// driver's sweep cell for cell.
-    pub fn job_matrix(&self) -> Vec<crate::job::JobSpec> {
-        crate::job::job_matrix(&self.programs, &self.configs)
-    }
-
     /// Runs the sweep and collects the report.
     ///
-    /// Three phases, each internally parallel, each a pure function of the
-    /// matrix: frontend per program, pipeline prefix per (program, opt,
-    /// ep), then the cells themselves from cloned cached prefixes.
+    /// One [`par_map`] over the job matrix: every cell runs
+    /// [`run_job`] against one store scoped to the sweep. As cells finish
+    /// their artifacts are released — a cell's compiled program and
+    /// bytecode at once, a program's frontend, prefixes and summaries when
+    /// its last cell is done — so the sweep holds only the rows in flight.
+    /// A program the frontend rejects yields a trapped cell (`"other"`,
+    /// with the diagnostic) for every configuration of its row.
     pub fn run(&self) -> Report {
         let t_start = Instant::now();
-
-        // Phase 1 — frontend: one compile per program, shared by every
-        // cell in its row.
-        let frontends: Vec<(mir::Module, Duration)> = par_map(self.jobs, &self.programs, |_, p| {
-            let t = Instant::now();
-            let m = cfront::compile_named(&p.source, &p.name)
-                .unwrap_or_else(|e| panic!("{}: frontend error: {e}", p.name));
-            (m, t.elapsed())
+        let specs = job_matrix(&self.programs, &self.configs);
+        let store = ArtifactStore::new();
+        let hashes: Vec<u64> = self.programs.iter().map(program_hash).collect();
+        // Cells still to finish per program hash (a program listed twice
+        // shares its artifacts, so the count is per hash, not per row).
+        let mut pending: HashMap<u64, AtomicUsize> = HashMap::new();
+        for &h in &hashes {
+            *pending.entry(h).or_default().get_mut() += self.configs.len();
+        }
+        let vm = self.vm;
+        let cells: Vec<(CellResult, Option<JobTraces>)> = par_map(self.jobs, &specs, |i, spec| {
+            let h = hashes[i / self.configs.len()];
+            let mut traces = self.trace.then(JobTraces::default);
+            let result = run_job(spec, &store, vm, &JobCtl::default(), traces.as_mut());
+            let config = spec.config.to_string();
+            store.release(h, Some(&config));
+            if pending[&h].fetch_sub(1, Ordering::AcqRel) == 1 {
+                store.release(h, None);
+            }
+            let program = spec.source.name().to_string();
+            let cell = match result {
+                Ok(JobOutcome::Cell { outcome, timing, .. }) => {
+                    CellResult { program, config, outcome: *outcome, timing }
+                }
+                Ok(other) => unreachable!("run jobs yield cells, got {other:?}"),
+                Err(e) => {
+                    let message = match e {
+                        JobError::Rejected { reason } => reason,
+                        other => format!("{other:?}"),
+                    };
+                    let outcome = Err(CellTrap { kind: TrapKind::Other, message });
+                    CellResult { program, config, outcome, timing: CellTiming::default() }
+                }
+            };
+            (cell, traces)
         });
 
-        // Phase 2 — pipeline prefixes: one per (program, opt, ep) actually
-        // referenced by the matrix.
-        let mut prefix_keys: Vec<(usize, OptLevel, ExtensionPoint)> = Vec::new();
-        for pi in 0..self.programs.len() {
-            for cfg in &self.configs {
-                let key = (pi, cfg.build_options().opt, cfg.build_options().ep);
-                if !prefix_keys.contains(&key) {
-                    prefix_keys.push(key);
-                }
-            }
-        }
-        let prefixes: Vec<(mir::Module, Duration, Option<TraceRecorder>)> =
-            par_map(self.jobs, &prefix_keys, |_, &(pi, opt, ep)| {
-                let t = Instant::now();
-                let opts = BuildOptions { opt, ep };
-                let module = frontends[pi].0.clone();
-                let (m, rec) = if self.trace {
-                    let mut rec = TraceRecorder::new();
-                    (pipeline_prefix_traced(module, opts, &mut rec), Some(rec))
-                } else {
-                    (pipeline_prefix(module, opts), None)
-                };
-                (m, t.elapsed(), rec)
-            });
-        let prefix_index: HashMap<(usize, OptLevel, ExtensionPoint), usize> =
-            prefix_keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-
-        // Phase 2.5 — interprocedural summaries: one per prefix snapshot
-        // that an IPO-enabled configuration will consume. Summaries are a
-        // pure function of the prefix, so sharing one computation across
-        // every cell of the (program, opt, ep) row cannot change results.
-        let summary_slots: Vec<usize> = (0..prefix_keys.len()).collect();
-        let summaries: Vec<Option<Arc<ModuleSummaries>>> =
-            par_map(self.jobs, &summary_slots, |_, &slot| {
-                let (_, opt, ep) = prefix_keys[slot];
-                let wanted = self.configs.iter().any(|cfg| {
-                    let o = cfg.build_options();
-                    o.opt == opt && o.ep == ep && cfg.mi_config().is_some_and(|mi| mi.uses_ipo())
-                });
-                wanted.then(|| Arc::new(mir::analysis::ipo::summarize(&prefixes[slot].0)))
-            });
-
-        // Phase 3 — cells: instrument (completing the pipeline) + execute,
-        // from a clone of the cached prefix.
-        let cell_keys: Vec<(usize, usize)> = (0..self.programs.len())
-            .flat_map(|pi| (0..self.configs.len()).map(move |ci| (pi, ci)))
-            .collect();
-        let cells: Vec<(CellResult, Option<TraceRecorder>)> =
-            par_map(self.jobs, &cell_keys, |_, &(pi, ci)| {
-                let cfg = &self.configs[ci];
-                let opts = cfg.build_options();
-                let prefix_slot = prefix_index[&(pi, opts.opt, opts.ep)];
-                let (prefix, prefix_time, _) = &prefixes[prefix_slot];
-
-                let t = Instant::now();
-                let mut rec = if self.trace { Some(TraceRecorder::new()) } else { None };
-                let prog = match (cfg.mi_config(), &mut rec) {
-                    (None, None) => compile_baseline_from_prefix(prefix.clone(), opts),
-                    (None, Some(r)) => compile_baseline_from_prefix_traced(prefix.clone(), opts, r),
-                    (Some(mi), None) => compile_from_prefix_with_summaries(
-                        prefix.clone(),
-                        mi,
-                        opts,
-                        summaries[prefix_slot].clone(),
-                    ),
-                    (Some(mi), Some(r)) => compile_from_prefix_traced(prefix.clone(), mi, opts, r),
-                };
-                let instrumentation = t.elapsed();
-
-                // The VM stage (setup timed separately from execution, so
-                // the report attributes bytecode compilation correctly) is
-                // the shared implementation behind the typed job API — the
-                // daemon runs the same code path, which is what makes its
-                // responses byte-identical to this sweep.
-                let stage = crate::job::run_vm_stage(
-                    &prog,
-                    self.vm,
-                    &crate::job::JobCtl::default(),
-                    None,
-                    false,
-                );
-                let outcome = stage.outcome.map_err(|t| CellTrap::from_trap(&t));
-                let (vm_compile, execution) = (stage.vm_compile, stage.execution);
-
-                let cell = CellResult {
-                    program: self.programs[pi].name.clone(),
-                    config: cfg.to_string(),
-                    outcome,
-                    timing: CellTiming {
-                        frontend: frontends[pi].1,
-                        pipeline: *prefix_time,
-                        instrumentation,
-                        vm_compile,
-                        execution,
-                    },
-                };
-                (cell, rec)
-            });
-
-        // Trace tracks: cached prefixes first (in prefix-key order), then
-        // cells in matrix order — a deterministic layout, independent of
-        // which worker ran what.
+        // Trace tracks: prefixes first (program-major, in first-use order),
+        // then cells in matrix order — a deterministic layout, independent
+        // of which worker built what.
         let mut traces: Vec<(String, TraceRecorder)> = Vec::new();
         if self.trace {
-            for (i, &(pi, opt, ep)) in prefix_keys.iter().enumerate() {
-                let opt = match opt {
-                    OptLevel::O0 => "O0",
-                    OptLevel::O3 => "O3",
-                };
-                let label = format!("{}/prefix@{opt}@{}", self.programs[pi].name, ep.name());
-                traces.push((label, prefixes[i].2.clone().unwrap_or_default()));
+            let mut built: HashMap<(u64, String), TraceRecorder> = HashMap::new();
+            for (i, (_, t)) in cells.iter().enumerate() {
+                if let Some(rec) = t.as_ref().and_then(|t| t.prefix.clone()) {
+                    let o = specs[i].config.build_options();
+                    built.insert((hashes[i / self.configs.len()], prefix_track(o)), rec);
+                }
             }
-            for (cell, rec) in &cells {
-                let label = format!("{}/{}", cell.program, cell.config);
-                traces.push((label, rec.clone().unwrap_or_default()));
+            for (pi, p) in self.programs.iter().enumerate() {
+                let mut seen: Vec<String> = Vec::new();
+                for cfg in &self.configs {
+                    let track = prefix_track(cfg.build_options());
+                    if !seen.contains(&track) {
+                        let rec = built.get(&(hashes[pi], track.clone())).cloned();
+                        traces.push((format!("{}/{track}", p.name), rec.unwrap_or_default()));
+                        seen.push(track);
+                    }
+                }
+            }
+            for (cell, t) in &cells {
+                let rec = t.as_ref().map(|t| t.cell.clone()).unwrap_or_default();
+                traces.push((format!("{}/{}", cell.program, cell.config), rec));
             }
         }
         let cells: Vec<CellResult> = cells.into_iter().map(|(c, _)| c).collect();
 
-        let n_cells = cells.len() as u64;
-        let cache = CacheStats {
-            frontend_compiles: self.programs.len() as u64,
-            frontend_reuses: n_cells - self.programs.len() as u64,
-            prefix_compiles: prefix_keys.len() as u64,
-            prefix_reuses: n_cells - prefix_keys.len() as u64,
-        };
+        let sum = |f: fn(&CellTiming) -> Duration| cells.iter().map(|c| f(&c.timing)).sum();
         let timings = SweepTimings {
             jobs: self.jobs,
             wall: t_start.elapsed(),
-            frontend: frontends.iter().map(|(_, d)| *d).sum(),
-            pipeline: prefixes.iter().map(|(_, d, _)| *d).sum(),
-            instrumentation: cells.iter().map(|c| c.timing.instrumentation).sum(),
-            vm_compile: cells.iter().map(|c| c.timing.vm_compile).sum(),
-            execution: cells.iter().map(|c| c.timing.execution).sum(),
+            frontend: sum(|t| t.frontend),
+            pipeline: sum(|t| t.pipeline),
+            instrumentation: sum(|t| t.instrumentation),
+            vm_compile: sum(|t| t.vm_compile),
+            execution: sum(|t| t.execution),
         };
         Report {
             programs: self.programs.iter().map(|p| p.name.clone()).collect(),
             configs: self.configs.iter().map(|c| c.to_string()).collect(),
             cells,
-            cache,
+            cache: CacheStats::of(&store),
             timings,
             traces,
             sample_interval: self.vm.sample_interval,
         }
     }
+}
+
+/// Track name of the pipeline prefix a configuration's cells share.
+fn prefix_track(o: meminstrument::runtime::BuildOptions) -> String {
+    format!("prefix@{}@{}", o.opt, o.ep)
 }
 
 /// Maps `f` over `items` on up to `jobs` scoped worker threads, preserving
@@ -777,17 +733,6 @@ pub fn fig9_configs() -> Vec<JobConfig> {
         Instrument::baseline(),
         Instrument::mechanism(Mechanism::SoftBound),
         Instrument::mechanism(Mechanism::LowFat),
-    ]
-}
-
-/// Baseline + optimized/unoptimized/invariants-only for `mech`
-/// (Figures 10/11).
-pub fn variants_configs(mech: Mechanism) -> Vec<JobConfig> {
-    vec![
-        Instrument::baseline(),
-        Instrument::mechanism(mech),
-        Instrument::mechanism(mech).opt(OptConfig::none()),
-        Instrument::mechanism(mech).mode(MiMode::GenInvariantsOnly),
     ]
 }
 
@@ -898,6 +843,48 @@ mod tests {
     }
 
     #[test]
+    fn cache_block_is_the_store_counters_at_any_worker_count() {
+        use crate::job::execute;
+        // `sum` is listed twice: one program, one frontend compile.
+        let mut programs = tiny_programs();
+        programs.push(programs[0].clone());
+        let configs = paper_sweep_configs();
+        let store = ArtifactStore::new();
+        for spec in job_matrix(&programs, &configs) {
+            execute(&spec, &store, VmConfig::default(), &JobCtl::default()).unwrap();
+        }
+        let want = CacheStats::of(&store);
+        assert_eq!(want.frontend_compiles, 2);
+        assert_eq!(want.frontend_compiles + want.frontend_reuses, 3 * configs.len() as u64);
+        for jobs in [1, 8] {
+            let r = Driver::new(programs.clone(), configs.clone()).with_jobs(jobs).run();
+            assert_eq!(r.cache, want, "--jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn frontend_errors_become_trapped_cells() {
+        let broken = Program { name: "broken".into(), source: "long main(void) { return".into() };
+        let programs = vec![broken, tiny_programs().remove(0)];
+        let configs = fig9_configs();
+        for jobs in [1, 4] {
+            let r = Driver::new(programs.clone(), configs.clone()).with_jobs(jobs).run();
+            assert_eq!(r.cells.len(), 2 * configs.len());
+            for cell in r.cells.iter().filter(|c| c.program == "broken") {
+                let trap = cell.outcome.as_ref().unwrap_err();
+                assert_eq!(trap.kind, TrapKind::Other);
+                assert!(trap.message.starts_with("frontend error: "), "{}", trap.message);
+            }
+            for cfg in &configs {
+                assert_eq!(r.ok("sum", cfg).output, vec!["84".to_string()], "{cfg}");
+            }
+            let json = r.to_json(false);
+            assert!(json.contains("\"ok\": false, \"trap_kind\": \"other\""), "{json}");
+            assert_eq!(r.cache.frontend_compiles, 2);
+        }
+    }
+
+    #[test]
     fn cached_cells_match_direct_compilation() {
         let programs = tiny_programs();
         let configs = paper_sweep_configs();
@@ -905,7 +892,7 @@ mod tests {
         for p in &programs {
             let m = cfront::compile(&p.source).unwrap();
             for cfg in &configs {
-                let direct = cfg.compile(m.clone());
+                let direct = cfg.compile(m.clone(), None);
                 let direct_out = direct.run_main(VmConfig::default()).unwrap();
                 let cell = r.ok(&p.name, cfg);
                 assert_eq!(cell.output, direct_out.output, "{} [{cfg}]", p.name);

@@ -2,13 +2,15 @@
 //! one program under one [`Instrument`] configuration".
 //!
 //! Every execution path in the workspace constructs jobs through this
-//! module: the driver's cell loop ([`crate::driver::Driver::run`]), the
-//! `mi run`/`mi profile` subcommands, the fuzz oracle's per-case matrix,
-//! and the `mi serve` daemon's workers. A [`JobSpec`] names *what* to do
-//! (source, configuration label, action); [`execute`] performs it against
-//! a shared [`ArtifactStore`]; the result is a [`JobOutcome`] whose JSON
-//! rendering reuses the driver's cell renderer byte-for-byte — which is
-//! how the daemon's responses stay byte-identical to in-process sweeps.
+//! module: the driver's sweep ([`crate::driver::Driver::run`]), the
+//! `mi run --connect` subcommand, the fuzz oracle's per-case matrix, and
+//! the `mi serve` daemon's workers. A [`JobSpec`] names *what* to do
+//! (source, configuration label, action); [`run_job`] — the one function
+//! body that turns (source, [`Instrument`]) into a cell — performs it
+//! against a shared [`ArtifactStore`], and [`execute`] is that body
+//! without tracing. The result is a [`JobOutcome`] whose JSON rendering
+//! reuses the driver's cell renderer byte-for-byte — which is how the
+//! daemon's responses stay byte-identical to in-process sweeps.
 //!
 //! The wire encoding ([`JobSpec::to_json`]/[`JobSpec::from_json`],
 //! [`JobError`]) is part of the frozen `mi-serve/1` schema documented in
@@ -18,14 +20,13 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use meminstrument::runtime::{
-    compile_baseline_from_prefix, compile_from_prefix_with_summaries, pipeline_prefix,
-    CompiledProgram,
-};
+use meminstrument::runtime::{complete, CompiledProgram};
 use meminstrument::{InstrStats, Instrument};
 use memvm::{BcImage, Trap, VmBackend, VmConfig};
+use mir::pipeline::Pipeline;
+use mir::trace::TraceRecorder;
 
-use crate::driver::{cell_json, static_json, CellOk, CellTrap, Program};
+use crate::driver::{cell_json, static_json, CellOk, CellTiming, CellTrap, Program};
 use crate::json::{json_str, Json};
 use crate::store::ArtifactStore;
 
@@ -296,6 +297,10 @@ pub enum JobOutcome {
         /// The cell outcome (boxed: `CellOk` is large and this variant
         /// would otherwise dominate the enum's size).
         outcome: Box<Result<CellOk, CellTrap>>,
+        /// Wall-clock of the stages this job ran. A stage served by the
+        /// store costs nothing here: its time is charged to the job that
+        /// built it.
+        timing: CellTiming,
     },
     /// [`JobAction::Profile`]: the rendered `mi-profile/1` document.
     Profile {
@@ -316,7 +321,7 @@ impl JobOutcome {
                 json_str(config),
                 static_json(instr)
             ),
-            JobOutcome::Cell { program, config, outcome } => {
+            JobOutcome::Cell { program, config, outcome, .. } => {
                 cell_json(program, config, outcome, None)
             }
             JobOutcome::Profile { document } => {
@@ -338,28 +343,26 @@ pub struct JobCtl {
 }
 
 /// The VM stage of one cell, with per-stage wall-clock.
-pub struct VmStage {
+struct VmStage {
     /// The raw execution outcome (traps unclassified, so callers can map
     /// `DeadlineExceeded`/`Interrupted` to protocol errors).
-    pub outcome: Result<CellOk, Trap>,
+    outcome: Result<CellOk, Trap>,
     /// VM setup: module load, runtime install, bytecode compile/adopt.
-    pub vm_compile: Duration,
+    vm_compile: Duration,
     /// Execution of `main`.
-    pub execution: Duration,
+    execution: Duration,
     /// Fresh bytecode image captured for the store (only when requested
     /// and nothing was adopted).
-    pub image: Option<BcImage>,
+    image: Option<BcImage>,
 }
 
-/// Loads, prepares, and runs one compiled program — the single VM-stage
-/// implementation shared by the driver's cell loop and the daemon's
-/// executor (which is what keeps their cells byte-identical).
+/// Loads, prepares, and runs one compiled program.
 ///
 /// `image` short-circuits bytecode compilation by adopting a cached
 /// [`BcImage`] (falling back to [`memvm::Vm::prepare`] if adoption fails);
 /// `capture_image` snapshots freshly compiled bytecode for the caller's
 /// store.
-pub fn run_vm_stage(
+fn run_vm_stage(
     prog: &CompiledProgram,
     vm_cfg: VmConfig,
     ctl: &JobCtl,
@@ -413,48 +416,96 @@ pub fn run_vm_stage(
     VmStage { outcome, vm_compile, execution, image: captured }
 }
 
-/// Executes one job against `store` under `vm_cfg` and `ctl`.
-///
-/// Compilation stages flow through the store's levels (frontend → prefix →
-/// instrumented program → bytecode image); the VM stage runs through
-/// [`run_vm_stage`], so results are byte-identical to a direct
-/// [`crate::driver::Driver`] sweep of the same cell.
+/// Pass-pipeline traces recorded by one traced job (see [`run_job`]).
+#[derive(Clone, Debug, Default)]
+pub struct JobTraces {
+    /// The pipeline prefix, recorded only by the job that built it. Single
+    /// flight means exactly one job per prefix key does.
+    pub prefix: Option<TraceRecorder>,
+    /// Instrumentation and the stages after the extension point (empty
+    /// when the compiled program came from the store).
+    pub cell: TraceRecorder,
+}
+
+/// Executes one job against `store` under `vm_cfg` and `ctl`: [`run_job`]
+/// without tracing.
 ///
 /// # Errors
 ///
-/// [`JobError::Rejected`] for unknown benchmarks and frontend diagnostics;
-/// [`JobError::Timeout`]/[`JobError::Cancelled`] when `ctl` fires;
-/// [`JobError::Trap`] for a profile of a trapped program.
+/// As [`run_job`].
 pub fn execute(
     spec: &JobSpec,
     store: &ArtifactStore,
     vm_cfg: VmConfig,
     ctl: &JobCtl,
 ) -> Result<JobOutcome, JobError> {
+    run_job(spec, store, vm_cfg, ctl, None)
+}
+
+/// The one function body that turns (source, [`Instrument`]) into a cell.
+///
+/// Compilation stages flow through the store's levels (frontend → prefix →
+/// summaries → instrumented program → bytecode image), each built at most
+/// once per key; the VM stage runs last. With `trace`, the builders this
+/// job runs record their passes into it.
+///
+/// # Errors
+///
+/// [`JobError::Rejected`] for unknown benchmarks and frontend diagnostics;
+/// [`JobError::Timeout`]/[`JobError::Cancelled`] when `ctl` fires;
+/// [`JobError::Trap`] for a profile of a trapped program.
+pub fn run_job(
+    spec: &JobSpec,
+    store: &ArtifactStore,
+    vm_cfg: VmConfig,
+    ctl: &JobCtl,
+    mut trace: Option<&mut JobTraces>,
+) -> Result<JobOutcome, JobError> {
     let program = spec.source.resolve().map_err(|reason| JobError::Rejected { reason })?;
     let h = program_hash(&program);
+    let mut timing = CellTiming::default();
     let module = store
         .frontend(h, || {
-            cfront::compile_named(&program.source, &program.name)
-                .map_err(|e| format!("frontend error: {e}"))
+            let t = Instant::now();
+            let m = cfront::compile_named(&program.source, &program.name)
+                .map_err(|e| format!("frontend error: {e}"));
+            timing.frontend = t.elapsed();
+            m
         })
         .map_err(|reason| JobError::Rejected { reason })?;
 
     let opts = spec.config.build_options();
     let label = spec.config.to_string();
-    let prefix = store.prefix((h, opts.opt, opts.ep), || pipeline_prefix((*module).clone(), opts));
+    let key = (h, opts.opt, opts.ep);
+    let prefix = store.prefix(key, || {
+        let t = Instant::now();
+        let mut m = (*module).clone();
+        let mut rec = trace.is_some().then(TraceRecorder::new);
+        Pipeline::new(opts.opt).run_to(&mut m, opts.ep, rec.as_mut());
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.prefix = rec;
+        }
+        timing.pipeline = t.elapsed();
+        m
+    });
     // Interprocedural summaries are a pure function of the prefix snapshot,
     // so one cached computation serves every IPO-enabled configuration of
     // this (program, opt level, extension point).
     let summaries = match spec.config.mi_config() {
-        Some(mi) if mi.uses_ipo() => {
-            Some(store.summaries((h, opts.opt, opts.ep), || mir::analysis::ipo::summarize(&prefix)))
-        }
+        Some(mi) if mi.uses_ipo() => Some(store.summaries(key, || {
+            let t = Instant::now();
+            let s = mir::analysis::ipo::summarize(&prefix);
+            timing.instrumentation += t.elapsed();
+            s
+        })),
         _ => None,
     };
-    let prog = store.compiled((h, label.clone()), || match spec.config.mi_config() {
-        None => compile_baseline_from_prefix((*prefix).clone(), opts),
-        Some(mi) => compile_from_prefix_with_summaries((*prefix).clone(), mi, opts, summaries),
+    let prog = store.compiled((h, label.clone()), || {
+        let t = Instant::now();
+        let rec = trace.map(|tr| &mut tr.cell);
+        let p = complete((*prefix).clone(), spec.config.mi_config(), opts, summaries, rec);
+        timing.instrumentation += t.elapsed();
+        p
     });
 
     if spec.action == JobAction::Compile {
@@ -474,6 +525,8 @@ pub fn execute(
     if let Some(img) = stage.image {
         store.insert_bytecode((h, label.clone()), img);
     }
+    timing.vm_compile = stage.vm_compile;
+    timing.execution = stage.execution;
     let outcome = match stage.outcome {
         Ok(ok) => Ok(ok),
         Err(Trap::DeadlineExceeded) => return Err(JobError::Timeout),
@@ -486,10 +539,11 @@ pub fn execute(
             program: program.name,
             config: label,
             outcome: Box::new(outcome),
+            timing,
         }),
         JobAction::Profile { top } => match outcome {
             Ok(ok) => Ok(JobOutcome::Profile {
-                document: profile_report(&prog, &ok, &program.name, &label, top),
+                document: profile_report(&prog, &ok.profile, &ok.stats, &program.name, &label, top),
             }),
             Err(t) => {
                 Err(JobError::Trap { report: cell_json(&program.name, &label, &Err(t), None) })
@@ -499,7 +553,33 @@ pub fn execute(
     }
 }
 
-/// Renders the `mi-profile/1` per-check-site profile for a completed cell:
+/// The executed check sites of `profile` (over a table of `n_sites`)
+/// ranked by dynamic check cost — ties broken by hits, then site index —
+/// and cut to the `top` entries, with the number of sites hit before the
+/// cut. Asserts that the profile totals reconcile exactly with `stats`.
+pub fn rank_sites(
+    profile: &memvm::SiteProfile,
+    stats: &memvm::VmStats,
+    n_sites: usize,
+    top: usize,
+) -> (usize, Vec<(usize, memvm::SiteCounts)>) {
+    let s = stats;
+    assert_eq!(
+        profile.total_hits(),
+        s.checks_executed + s.invariant_checks_executed,
+        "profile/stats drift"
+    );
+    assert_eq!(profile.total_wide(), s.checks_wide, "profile/stats drift");
+    assert_eq!(profile.total_cost(), s.cost_checks, "profile/stats drift");
+    let mut ranked: Vec<(usize, memvm::SiteCounts)> =
+        (0..n_sites).map(|i| (i, profile.get(i))).filter(|(_, c)| c.hits > 0).collect();
+    ranked.sort_by(|a, b| (b.1.cost, b.1.hits, a.0).cmp(&(a.1.cost, a.1.hits, b.0)));
+    let sites_hit = ranked.len();
+    ranked.truncate(top);
+    (sites_hit, ranked)
+}
+
+/// Renders the `mi-profile/1` per-check-site profile of a completed run:
 /// executed sites ranked by dynamic check cost (ties: hits, then site
 /// index), joined with the module's `check_sites` table for source
 /// attribution. The totals are asserted to reconcile exactly with the
@@ -507,25 +587,16 @@ pub fn execute(
 /// daemon's profile jobs.
 pub fn profile_report(
     prog: &CompiledProgram,
-    ok: &CellOk,
+    profile: &memvm::SiteProfile,
+    s: &memvm::VmStats,
     file_fallback: &str,
     config_label: &str,
     top: usize,
 ) -> String {
     let src_file = prog.module.src_file.clone();
     let sites = &prog.module.check_sites;
-    let s = &ok.stats;
-    let (hits, wide, cost) =
-        (ok.profile.total_hits(), ok.profile.total_wide(), ok.profile.total_cost());
-    assert_eq!(hits, s.checks_executed + s.invariant_checks_executed, "profile/stats drift");
-    assert_eq!(wide, s.checks_wide, "profile/stats drift");
-    assert_eq!(cost, s.cost_checks, "profile/stats drift");
-
-    let mut ranked: Vec<(usize, memvm::SiteCounts)> =
-        (0..sites.len()).map(|i| (i, ok.profile.get(i))).filter(|(_, c)| c.hits > 0).collect();
-    ranked.sort_by(|a, b| (b.1.cost, b.1.hits, a.0).cmp(&(a.1.cost, a.1.hits, b.0)));
-    let sites_hit = ranked.len();
-    ranked.truncate(top);
+    let (sites_hit, ranked) = rank_sites(profile, s, sites.len(), top);
+    let (hits, wide, cost) = (profile.total_hits(), profile.total_wide(), profile.total_cost());
 
     let file_label = src_file.as_deref().unwrap_or(file_fallback);
     let mut j = String::new();
@@ -659,7 +730,7 @@ mod tests {
         assert_eq!(cold.result_json(), warm.result_json());
         // And identical to compiling directly, without any cache.
         let m = cfront::compile_named(&spec.source.resolve().unwrap().source, "sum.c").unwrap();
-        let direct = spec.config.compile(m);
+        let direct = spec.config.compile(m, None);
         let out = direct.run_main(VmConfig::default()).unwrap();
         match &cold {
             JobOutcome::Cell { outcome, .. } => match &**outcome {
@@ -672,6 +743,50 @@ mod tests {
             },
             other => panic!("unexpected outcome {other:?}"),
         }
+    }
+
+    #[test]
+    fn store_keeps_configs_apart_that_differ_only_in_flags() {
+        // Wrapper checks catch the overflowing memcpy; plain SoftBound
+        // does not. One store must not serve one cell for the other.
+        let source = SourceRef::Inline {
+            name: "copy.c".into(),
+            text: r#"
+                long main(void) {
+                    long *dst = (long*)malloc(2 * sizeof(long));
+                    long *src = (long*)malloc(8 * sizeof(long));
+                    memcpy(dst, src, 8 * sizeof(long));
+                    return 0;
+                }
+            "#
+            .into(),
+        };
+        let plain = Instrument::mechanism(meminstrument::Mechanism::SoftBound);
+        let store = ArtifactStore::new();
+        let run = |config: &Instrument| {
+            let spec =
+                JobSpec { source: source.clone(), config: config.clone(), action: JobAction::Run };
+            match execute(&spec, &store, VmConfig::default(), &JobCtl::default()).unwrap() {
+                JobOutcome::Cell { outcome, .. } => *outcome,
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        };
+        for flag in [
+            |c: &mut meminstrument::MiConfig| c.sb_wrapper_checks = true,
+            |c: &mut meminstrument::MiConfig| c.sb_narrow_member_bounds = true,
+        ] {
+            let flagged = plain.clone().configure(flag);
+            let spec = JobSpec { source: source.clone(), config: flagged, action: JobAction::Run };
+            let back = JobSpec::from_json(&Json::parse(&spec.to_json()).unwrap()).unwrap();
+            assert_eq!(back, spec, "the flag must survive the wire");
+        }
+        assert!(run(&plain).is_ok());
+        let wrapped = plain.clone().configure(|c| c.sb_wrapper_checks = true);
+        let trap = run(&wrapped).unwrap_err();
+        assert!(trap.is_violation(), "{trap:?}");
+        let misses =
+            store.metrics().counter("store_lookups", &[("level", "compiled"), ("outcome", "miss")]);
+        assert_eq!(misses, 2, "each configuration compiles into its own entry");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 //! `bench`: harnesses regenerating every table and figure of the paper.
 //!
-//! Binaries (each prints a formatted table to stdout):
+//! One binary, `report`, prints the whole Markdown report (the content of
+//! `EXPERIMENTS.md`); `report --section <name>` prints one section:
 //!
-//! | binary | regenerates |
+//! | section | regenerates |
 //! |---|---|
 //! | `table2` | Table 2 — % of dynamic checks with wide bounds |
 //! | `fig9` | Figure 9 — execution-time overhead, SoftBound vs Low-Fat |
@@ -13,8 +14,14 @@
 //! | `fig12` | Figure 12 — SoftBound at three extension points |
 //! | `fig13` | Figure 13 — Low-Fat at three extension points |
 //! | `checks_removed` | §5.3 — static share of checks removed by the dominance optimization |
-//! | `cost_breakdown` | §5.4 ablation — cost split by category (checks/metadata/allocator) |
-//! | `report` | everything above, plus geometric means, in one run |
+//! | `check_opts` | loop hoisting / range widening, static and dynamic |
+//! | `ipo` | interprocedural elision vs `-noipo` |
+//! | `cost_breakdown` | §5.4 — cost split by category (checks/metadata/allocator) |
+//! | `extensions` | summary of the extensions beyond the paper |
+//! | `mechanisms` | SoftBound / Low-Fat / RedZone slowdowns |
+//! | `memory_overhead` | mapped program memory relative to the baseline |
+//! | `wrapper_checks` | §5.1.2 ablation — SoftBound wrapper checks on/off |
+//! | `driver` | the evaluation driver's cache counters |
 //!
 //! Absolute cost units are a deterministic proxy (see `memvm::cost`); the
 //! comparisons reproduce the paper's *shapes*, not its wall-clock numbers.
@@ -24,72 +31,12 @@ pub mod job;
 pub mod json;
 pub mod store;
 
-use cbench::Benchmark;
-use meminstrument::runtime::BuildOptions;
-use meminstrument::{InstrStats, Mechanism, MiConfig};
-use memvm::VmStats;
-use mir::pipeline::ExtensionPoint;
+use driver::CellOk;
 
-/// One measured configuration of one benchmark.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Configuration label.
-    pub config: String,
-    /// Total cost (the "execution time").
-    pub cost: u64,
-    /// Dynamic VM statistics.
-    pub stats: VmStats,
-    /// Static instrumentation statistics.
-    pub instr: InstrStats,
-}
-
-/// Extracts a [`Measurement`] from an `evald` report cell, panicking if
-/// the cell is missing or trapped (benchmarks are memory-safe fixtures).
-pub fn measurement_of(
-    report: &driver::Report,
-    b: &Benchmark,
-    cfg: &driver::JobConfig,
-) -> Measurement {
-    let cell = report.ok(b.name, cfg);
-    Measurement {
-        bench: b.name,
-        config: cfg.to_string(),
-        cost: cell.stats.cost_total,
-        stats: cell.stats.clone(),
-        instr: cell.instr.clone(),
-    }
-}
-
-/// Runs the uninstrumented `-O3` baseline.
-pub fn measure_baseline(b: &Benchmark) -> Measurement {
-    let out = cbench::run_baseline(b, BuildOptions::default()).expect("baseline must run");
-    Measurement {
-        bench: b.name,
-        config: "baseline".into(),
-        cost: out.exec.stats.cost_total,
-        stats: out.exec.stats,
-        instr: out.instr,
-    }
-}
-
-/// Runs an instrumented configuration.
-pub fn measure(b: &Benchmark, config: &MiConfig, opts: BuildOptions) -> Measurement {
-    let out = cbench::run(b, config, opts)
-        .unwrap_or_else(|t| panic!("{} {:?} trapped: {t}", b.name, config.mechanism));
-    Measurement {
-        bench: b.name,
-        config: config.mechanism.name().to_string(),
-        cost: out.exec.stats.cost_total,
-        stats: out.exec.stats,
-        instr: out.instr,
-    }
-}
-
-/// Slowdown of `m` relative to `baseline` (the figures' y-axis).
-pub fn slowdown(m: &Measurement, baseline: &Measurement) -> f64 {
-    m.cost as f64 / baseline.cost as f64
+/// Slowdown of cell `m` relative to the `baseline` cell (the figures'
+/// y-axis): the ratio of their deterministic VM costs.
+pub fn slowdown(m: &CellOk, baseline: &CellOk) -> f64 {
+    m.stats.cost_total as f64 / baseline.stats.cost_total as f64
 }
 
 /// Geometric mean of a slice of ratios.
@@ -100,44 +47,11 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// The paper's Figure 9 configuration.
-pub fn paper_options() -> BuildOptions {
-    BuildOptions::default()
-}
-
-/// Options at a specific extension point.
-pub fn options_at(ep: ExtensionPoint) -> BuildOptions {
-    BuildOptions { ep, ..BuildOptions::default() }
-}
-
-/// Prints a row-aligned table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let line = |cells: &[String]| {
-        let joined: Vec<String> =
-            cells.iter().enumerate().map(|(i, c)| format!("{c:>w$}", w = widths[i])).collect();
-        println!("  {}", joined.join("  "));
-    };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
-}
-
-/// Both mechanisms' paper-basis configs.
-pub fn both_mechanisms() -> [MiConfig; 2] {
-    [MiConfig::new(Mechanism::SoftBound), MiConfig::new(Mechanism::LowFat)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{Driver, JobConfig, Program};
+    use meminstrument::Mechanism;
 
     #[test]
     fn geomean_basics() {
@@ -149,9 +63,9 @@ mod tests {
     #[test]
     fn slowdown_is_ratio() {
         let b = cbench::by_name("186crafty").unwrap();
-        let base = measure_baseline(&b);
-        let sb = measure(&b, &MiConfig::new(Mechanism::SoftBound), paper_options());
-        let s = slowdown(&sb, &base);
+        let (base, sb) = (JobConfig::baseline(), JobConfig::mechanism(Mechanism::SoftBound));
+        let report = Driver::new(vec![Program::from(&b)], vec![base.clone(), sb.clone()]).run();
+        let s = slowdown(report.ok(b.name, &sb), report.ok(b.name, &base));
         assert!(s > 1.0, "instrumentation must cost something, got {s}");
     }
 }

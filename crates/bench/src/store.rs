@@ -2,14 +2,14 @@
 //!
 //! Caches the products of every compilation stage across jobs (and, in the
 //! `mi serve` daemon, across client connections), keyed by the FNV-1a hash
-//! of the source (see [`crate::job::SourceRef::content_hash`]) plus the
+//! of the source (see [`crate::job::program_hash`]) plus the
 //! stage's configuration:
 //!
 //! | level       | key                         | artifact                     |
 //! |-------------|-----------------------------|------------------------------|
 //! | `frontend`  | source hash                 | [`mir::Module`]              |
 //! | `prefix`    | hash × opt level × ext pt   | post-prefix [`mir::Module`]  |
-//! | `summaries` | hash × opt level × ext pt   | [`ipo::ModuleSummaries`]     |
+//! | `summaries` | hash × opt level × ext pt   | [`ModuleSummaries`]          |
 //! | `compiled`  | hash × `Instrument` label   | [`CompiledProgram`]          |
 //! | `bytecode`  | hash × `Instrument` label   | [`memvm::BcImage`]           |
 //!
@@ -23,7 +23,26 @@
 //! pipeline-determinism properties in `tests/props.rs` pin the stages, and
 //! the byte-identity tests in `crates/serve` hold store-served results
 //! equal to direct compilation. Eviction (LRU per level, capacity-bounded)
-//! therefore only ever costs recompilation, never changes results.
+//! and [`ArtifactStore::release`] therefore only ever cost recompilation,
+//! never change results.
+//!
+//! **Single flight.** Every build level (`frontend`, `prefix`,
+//! `summaries`, `compiled`) goes through one build-on-miss routine: the
+//! lookup creates the key's entry under the lock, the builder runs outside
+//! it, and concurrent callers of the same key wait for that one builder
+//! instead of building again. So each built key counts exactly one miss
+//! and every other lookup a hit, at any number of threads — which is what
+//! lets the evaluation driver report these counters as its deterministic
+//! `cache` block. A frontend diagnostic is cached like a module: it is a
+//! pure function of the source hash. The `bytecode` level is filled after
+//! execution instead ([`ArtifactStore::insert_bytecode`], first writer
+//! wins), because the image comes out of the VM that runs the job.
+//!
+//! **Release.** A long-running daemon relies on LRU eviction. A sweep knows
+//! better: the evaluation driver calls [`ArtifactStore::release`] to drop a
+//! cell's `compiled`/`bytecode` entries when the cell finishes and a
+//! program's remaining entries when its last cell finishes, so a sweep
+//! holds only the artifacts of rows still in flight.
 //!
 //! Every lookup is hit/miss-counted into an internal
 //! [`telemetry::Registry`] (`store_lookups{level,outcome}`,
@@ -32,7 +51,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use meminstrument::runtime::CompiledProgram;
 use memvm::BcImage;
@@ -44,8 +63,14 @@ use telemetry::Registry;
 /// (57 programs × 14 configs) while bounding a long-running daemon.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
+/// Key of the `prefix` and `summaries` levels.
+type PrefixKey = (u64, OptLevel, ExtensionPoint);
+/// Key of the `compiled` and `bytecode` levels.
+type LabelKey = (u64, String);
+
 struct Entry<T> {
-    value: Arc<T>,
+    /// Filled once by the single builder; waiters block on it.
+    slot: Arc<OnceLock<T>>,
     last_used: u64,
 }
 
@@ -60,23 +85,26 @@ impl<K: Eq + Hash + Clone, T> Level<K, T> {
         Level { name, map: HashMap::new(), capacity: capacity.max(1) }
     }
 
-    fn get(&mut self, key: &K, tick: u64, metrics: &mut Registry) -> Option<Arc<T>> {
-        let outcome = match self.map.get_mut(key) {
+    /// The entry for `key`, created empty on a miss (evicting the least
+    /// recently used entries while over capacity). Counts the lookup.
+    fn slot(&mut self, key: K, tick: u64, metrics: &mut Registry) -> Arc<OnceLock<T>> {
+        let (outcome, slot) = match self.map.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
-                "hit"
+                ("hit", Arc::clone(&e.slot))
             }
-            None => "miss",
+            None => {
+                let slot = Arc::new(OnceLock::new());
+                self.map.insert(key, Entry { slot: Arc::clone(&slot), last_used: tick });
+                self.evict(metrics);
+                ("miss", slot)
+            }
         };
         metrics.counter_add("store_lookups", &[("level", self.name), ("outcome", outcome)], 1);
-        self.map.get(key).map(|e| Arc::clone(&e.value))
+        slot
     }
 
-    /// Inserts (first writer wins on a race) and evicts the least-recently
-    /// used entry while over capacity.
-    fn insert(&mut self, key: K, value: Arc<T>, tick: u64, metrics: &mut Registry) -> Arc<T> {
-        let value =
-            Arc::clone(&self.map.entry(key).or_insert(Entry { value, last_used: tick }).value);
+    fn evict(&mut self, metrics: &mut Registry) {
         while self.map.len() > self.capacity {
             if let Some(oldest) =
                 self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
@@ -85,26 +113,35 @@ impl<K: Eq + Hash + Clone, T> Level<K, T> {
                 metrics.counter_add("store_evictions", &[("level", self.name)], 1);
             }
         }
-        metrics.gauge_set("store_entries", &[("level", self.name)], self.map.len() as u64);
-        value
+        self.set_gauge(metrics);
     }
+
+    fn retain(&mut self, keep: impl Fn(&K) -> bool, metrics: &mut Registry) {
+        self.map.retain(|k, _| keep(k));
+        self.set_gauge(metrics);
+    }
+
+    fn set_gauge(&self, metrics: &mut Registry) {
+        metrics.gauge_set("store_entries", &[("level", self.name)], self.map.len() as u64);
+    }
+}
+
+struct Levels {
+    frontend: Level<u64, Result<Arc<mir::Module>, String>>,
+    prefix: Level<PrefixKey, Arc<mir::Module>>,
+    summaries: Level<PrefixKey, Arc<ModuleSummaries>>,
+    compiled: Level<LabelKey, Arc<CompiledProgram>>,
+    bytecode: Level<LabelKey, Arc<BcImage>>,
 }
 
 struct Inner {
     tick: u64,
-    frontend: Level<u64, mir::Module>,
-    prefix: Level<(u64, OptLevel, ExtensionPoint), mir::Module>,
-    summaries: Level<(u64, OptLevel, ExtensionPoint), ModuleSummaries>,
-    compiled: Level<(u64, String), CompiledProgram>,
-    bytecode: Level<(u64, String), BcImage>,
+    levels: Levels,
     metrics: Registry,
 }
 
-/// A thread-safe, capacity-bounded artifact cache shared across jobs.
-///
-/// Builders run *outside* the lock, so concurrent misses on the same key
-/// may compile twice; the first inserted artifact wins and both callers
-/// observe it — results never depend on the race.
+/// A thread-safe, capacity-bounded, single-flight artifact cache shared
+/// across jobs.
 pub struct ArtifactStore {
     inner: Mutex<Inner>,
 }
@@ -126,61 +163,57 @@ impl ArtifactStore {
         ArtifactStore {
             inner: Mutex::new(Inner {
                 tick: 0,
-                frontend: Level::new("frontend", capacity),
-                prefix: Level::new("prefix", capacity),
-                summaries: Level::new("summaries", capacity),
-                compiled: Level::new("compiled", capacity),
-                bytecode: Level::new("bytecode", capacity),
+                levels: Levels {
+                    frontend: Level::new("frontend", capacity),
+                    prefix: Level::new("prefix", capacity),
+                    summaries: Level::new("summaries", capacity),
+                    compiled: Level::new("compiled", capacity),
+                    bytecode: Level::new("bytecode", capacity),
+                },
                 metrics: Registry::new(),
             }),
         }
     }
 
-    fn tick(inner: &mut Inner) -> u64 {
-        inner.tick += 1;
-        inner.tick
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        // Builders run outside the lock, so only a bug in the bookkeeping
+        // below can poison it.
+        self.inner.lock().expect("artifact store lock poisoned")
+    }
+
+    /// The one build-on-miss routine behind every build level: the entry
+    /// is found or created under the lock, then `build` runs outside it at
+    /// most once per entry while concurrent callers of the key wait.
+    fn build_on_miss<K: Eq + Hash + Clone, T: Clone>(
+        &self,
+        level: fn(&mut Levels) -> &mut Level<K, T>,
+        key: K,
+        build: impl FnOnce() -> T,
+    ) -> T {
+        let slot = {
+            let Inner { tick, levels, metrics } = &mut *self.lock();
+            *tick += 1;
+            level(levels).slot(key, *tick, metrics)
+        };
+        slot.get_or_init(build).clone()
     }
 
     /// Frontend module for `hash`, building it on a miss.
     ///
     /// # Errors
     ///
-    /// Propagates the builder's error (a frontend diagnostic).
+    /// The builder's error (a frontend diagnostic), cached like a module.
     pub fn frontend(
         &self,
         hash: u64,
         build: impl FnOnce() -> Result<mir::Module, String>,
     ) -> Result<Arc<mir::Module>, String> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(m) = inner.frontend.get(&hash, tick, &mut inner.metrics) {
-                return Ok(m);
-            }
-        }
-        let built = Arc::new(build()?);
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        Ok(inner.frontend.insert(hash, built, tick, &mut inner.metrics))
+        self.build_on_miss(|l| &mut l.frontend, hash, || build().map(Arc::new))
     }
 
     /// Pipeline prefix for `(hash, opt, ep)`, building it on a miss.
-    pub fn prefix(
-        &self,
-        key: (u64, OptLevel, ExtensionPoint),
-        build: impl FnOnce() -> mir::Module,
-    ) -> Arc<mir::Module> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(m) = inner.prefix.get(&key, tick, &mut inner.metrics) {
-                return m;
-            }
-        }
-        let built = Arc::new(build());
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.prefix.insert(key, built, tick, &mut inner.metrics)
+    pub fn prefix(&self, key: PrefixKey, build: impl FnOnce() -> mir::Module) -> Arc<mir::Module> {
+        self.build_on_miss(|l| &mut l.prefix, key, || Arc::new(build()))
     }
 
     /// Interprocedural summaries for the `(hash, opt, ep)` prefix
@@ -189,75 +222,84 @@ impl ArtifactStore {
     /// self-summarizing compilation of the same snapshot.
     pub fn summaries(
         &self,
-        key: (u64, OptLevel, ExtensionPoint),
+        key: PrefixKey,
         build: impl FnOnce() -> ModuleSummaries,
     ) -> Arc<ModuleSummaries> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(s) = inner.summaries.get(&key, tick, &mut inner.metrics) {
-                return s;
-            }
-        }
-        let built = Arc::new(build());
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.summaries.insert(key, built, tick, &mut inner.metrics)
+        self.build_on_miss(|l| &mut l.summaries, key, || Arc::new(build()))
     }
 
     /// Instrumented program for `(hash, label)`, building it on a miss.
     pub fn compiled(
         &self,
-        key: (u64, String),
+        key: LabelKey,
         build: impl FnOnce() -> CompiledProgram,
     ) -> Arc<CompiledProgram> {
-        {
-            let inner = &mut *self.inner.lock().unwrap();
-            let tick = Self::tick(inner);
-            if let Some(p) = inner.compiled.get(&key, tick, &mut inner.metrics) {
-                return p;
-            }
-        }
-        let built = Arc::new(build());
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.compiled.insert(key, built, tick, &mut inner.metrics)
+        self.build_on_miss(|l| &mut l.compiled, key, || Arc::new(build()))
     }
 
     /// Cached bytecode image for `(hash, label)`, if present (hit-counted).
-    pub fn bytecode(&self, key: &(u64, String)) -> Option<Arc<BcImage>> {
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.bytecode.get(key, tick, &mut inner.metrics)
+    pub fn bytecode(&self, key: &LabelKey) -> Option<Arc<BcImage>> {
+        let Inner { tick, levels, metrics } = &mut *self.lock();
+        *tick += 1;
+        let level = &mut levels.bytecode;
+        let image = level.map.get_mut(key).and_then(|e| {
+            e.last_used = *tick;
+            e.slot.get().cloned()
+        });
+        let outcome = if image.is_some() { "hit" } else { "miss" };
+        metrics.counter_add("store_lookups", &[("level", level.name), ("outcome", outcome)], 1);
+        image
     }
 
     /// Stores a bytecode image (first writer wins).
-    pub fn insert_bytecode(&self, key: (u64, String), image: BcImage) -> Arc<BcImage> {
-        let inner = &mut *self.inner.lock().unwrap();
-        let tick = Self::tick(inner);
-        inner.bytecode.insert(key, Arc::new(image), tick, &mut inner.metrics)
+    pub fn insert_bytecode(&self, key: LabelKey, image: BcImage) -> Arc<BcImage> {
+        let Inner { tick, levels, metrics } = &mut *self.lock();
+        *tick += 1;
+        let level = &mut levels.bytecode;
+        let entry =
+            level.map.entry(key).or_insert(Entry { slot: Arc::default(), last_used: *tick });
+        entry.last_used = *tick;
+        let image = Arc::clone(entry.slot.get_or_init(|| Arc::new(image)));
+        level.evict(metrics);
+        image
+    }
+
+    /// Drops the entries of the program with content hash `hash`: with a
+    /// `label`, that configuration's `compiled` and `bytecode` entries;
+    /// without one, the program's entries at every level. Holders of an
+    /// artifact keep their `Arc`; a later lookup rebuilds it.
+    pub fn release(&self, hash: u64, label: Option<&str>) {
+        let Inner { levels, metrics, .. } = &mut *self.lock();
+        let keep_labelled = |k: &LabelKey| k.0 != hash || label.is_some_and(|l| k.1 != l);
+        levels.compiled.retain(keep_labelled, metrics);
+        levels.bytecode.retain(keep_labelled, metrics);
+        if label.is_none() {
+            levels.frontend.retain(|k| *k != hash, metrics);
+            levels.prefix.retain(|k| k.0 != hash, metrics);
+            levels.summaries.retain(|k| k.0 != hash, metrics);
+        }
     }
 
     /// Total entries across all levels (the daemon's store-size gauge).
     pub fn entries(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner.frontend.map.len()
-            + inner.prefix.map.len()
-            + inner.summaries.map.len()
-            + inner.compiled.map.len()
-            + inner.bytecode.map.len()
+        let l = &self.lock().levels;
+        l.frontend.map.len()
+            + l.prefix.map.len()
+            + l.summaries.map.len()
+            + l.compiled.map.len()
+            + l.bytecode.map.len()
     }
 
     /// A snapshot of the store's lookup/eviction/size metrics.
     pub fn metrics(&self) -> Registry {
-        self.inner.lock().unwrap().metrics.clone()
+        self.lock().metrics.clone()
     }
 
     /// Resident frontend-level keys, sorted (observability/tests; does not
     /// count as a lookup or touch recency).
     pub fn frontend_keys(&self) -> Vec<u64> {
-        let inner = self.inner.lock().unwrap();
-        let mut keys: Vec<u64> = inner.frontend.map.keys().copied().collect();
+        let inner = self.lock();
+        let mut keys: Vec<u64> = inner.levels.frontend.map.keys().copied().collect();
         keys.sort_unstable();
         keys
     }
@@ -296,11 +338,73 @@ mod tests {
     }
 
     #[test]
-    fn first_writer_wins_and_is_shared() {
+    fn concurrent_misses_build_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        const N: usize = 8;
         let store = ArtifactStore::new();
-        let a = store.frontend(7, || Ok(mir::builder::ModuleBuilder::new("a").finish())).unwrap();
-        let b = store.frontend(7, || Ok(mir::builder::ModuleBuilder::new("b").finish())).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(b.name, "a");
+        let builds = AtomicUsize::new(0);
+        let lookups = |reg: &Registry, outcome| {
+            reg.counter("store_lookups", &[("level", "frontend"), ("outcome", outcome)])
+        };
+        let modules: Vec<Arc<mir::Module>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..N)
+                .map(|i| {
+                    let (store, builds) = (&store, &builds);
+                    s.spawn(move || {
+                        store
+                            .frontend(7, || {
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                // Keep the build in flight until every thread
+                                // has looked the key up.
+                                while {
+                                    let reg = store.metrics();
+                                    lookups(&reg, "hit") + lookups(&reg, "miss") < N as u64
+                                } {
+                                    std::thread::yield_now();
+                                }
+                                Ok(mir::builder::ModuleBuilder::new(format!("m{i}")).finish())
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "the builder must run exactly once");
+        assert!(modules.iter().all(|m| Arc::ptr_eq(m, &modules[0])));
+        let reg = store.metrics();
+        assert_eq!((lookups(&reg, "miss"), lookups(&reg, "hit")), (1, N as u64 - 1));
+    }
+
+    #[test]
+    fn frontend_errors_are_cached() {
+        let store = ArtifactStore::new();
+        assert_eq!(store.frontend(1, || Err("bad".to_string())).unwrap_err(), "bad");
+        let again = store.frontend(1, || unreachable!("cached diagnostic must be served"));
+        assert_eq!(again.unwrap_err(), "bad");
+    }
+
+    #[test]
+    fn release_drops_cell_then_program_entries() {
+        let store = ArtifactStore::new();
+        let module = || mir::builder::ModuleBuilder::new("m").finish();
+        let prog = || CompiledProgram {
+            module: module(),
+            mechanism: None,
+            stats: Default::default(),
+            elisions: Vec::new(),
+        };
+        let key = (3, OptLevel::O3, ExtensionPoint::VectorizerStart);
+        store.frontend(3, || Ok(module())).unwrap();
+        store.prefix(key, module);
+        store.compiled((3, "a".into()), prog);
+        store.compiled((3, "b".into()), prog);
+        store.compiled((4, "a".into()), prog);
+        assert_eq!(store.entries(), 5);
+        store.release(3, Some("a"));
+        assert_eq!(store.entries(), 4);
+        store.release(3, None);
+        assert_eq!(store.entries(), 1, "only the other program's entry is left");
     }
 }

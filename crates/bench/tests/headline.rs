@@ -4,27 +4,35 @@
 //! Slow in debug builds, so they only run under `--release`
 //! (`cargo test --release -p bench`).
 
-use bench::driver::{fig9_configs, Driver, JobConfig, Program};
-use bench::{geomean, measure, measure_baseline, options_at, paper_options, slowdown};
-use meminstrument::{Mechanism, MiConfig, OptConfig};
+use bench::driver::{
+    benchmark_programs, extension_point_configs, fig9_configs, Driver, JobConfig, Program, Report,
+};
+use bench::{geomean, slowdown};
+use meminstrument::{Mechanism, MiMode, OptConfig};
 use mir::pipeline::ExtensionPoint;
 
-fn mean_slowdown(cfg: &MiConfig, opts: meminstrument::runtime::BuildOptions) -> f64 {
-    let xs: Vec<f64> = cbench::all()
-        .iter()
-        .map(|b| {
-            let base = measure_baseline(b);
-            slowdown(&measure(b, cfg, opts), &base)
-        })
-        .collect();
+/// The whole suite under `configs` (which must include the baseline).
+fn sweep(configs: Vec<JobConfig>) -> Report {
+    Driver::new(benchmark_programs(), configs).run()
+}
+
+/// Slowdown of `cfg` over the baseline on one benchmark.
+fn slowdown_of(report: &Report, name: &str, cfg: &JobConfig) -> f64 {
+    slowdown(report.ok(name, cfg), report.ok(name, &JobConfig::baseline()))
+}
+
+/// Geometric-mean slowdown of `cfg` over the suite.
+fn mean_slowdown(report: &Report, cfg: &JobConfig) -> f64 {
+    let xs: Vec<f64> = cbench::all().iter().map(|b| slowdown_of(report, b.name, cfg)).collect();
     geomean(&xs)
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
 fn figure9_means_stay_near_the_paper() {
-    let sb = mean_slowdown(&MiConfig::new(Mechanism::SoftBound), paper_options());
-    let lf = mean_slowdown(&MiConfig::new(Mechanism::LowFat), paper_options());
+    let report = sweep(fig9_configs());
+    let sb = mean_slowdown(&report, &JobConfig::mechanism(Mechanism::SoftBound));
+    let lf = mean_slowdown(&report, &JobConfig::mechanism(Mechanism::LowFat));
     // Paper: 1.74x / 1.77x. Allow a band, and require near-parity.
     assert!((1.55..=2.05).contains(&sb), "SoftBound mean drifted: {sb:.2}");
     assert!((1.55..=2.05).contains(&lf), "Low-Fat mean drifted: {lf:.2}");
@@ -34,12 +42,10 @@ fn figure9_means_stay_near_the_paper() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
 fn figure9_crossovers_hold() {
+    let report = sweep(fig9_configs());
     let check = |name: &str| {
-        let b = cbench::by_name(name).unwrap();
-        let base = measure_baseline(&b);
-        let sb =
-            slowdown(&measure(&b, &MiConfig::new(Mechanism::SoftBound), paper_options()), &base);
-        let lf = slowdown(&measure(&b, &MiConfig::new(Mechanism::LowFat), paper_options()), &base);
+        let sb = slowdown_of(&report, name, &JobConfig::mechanism(Mechanism::SoftBound));
+        let lf = slowdown_of(&report, name, &JobConfig::mechanism(Mechanism::LowFat));
         (sb, lf)
     };
     // equake: trie lookups in the hot loop make SoftBound clearly worse.
@@ -54,10 +60,11 @@ fn figure9_crossovers_hold() {
 #[cfg_attr(debug_assertions, ignore = "slow without optimizations")]
 fn extension_point_ordering_holds() {
     for mech in [Mechanism::SoftBound, Mechanism::LowFat] {
-        let cfg = MiConfig::new(mech);
-        let early = mean_slowdown(&cfg, options_at(ExtensionPoint::ModuleOptimizerEarly));
-        let scalar = mean_slowdown(&cfg, options_at(ExtensionPoint::ScalarOptimizerLate));
-        let vec = mean_slowdown(&cfg, options_at(ExtensionPoint::VectorizerStart));
+        let report = sweep(extension_point_configs(mech));
+        let at = |ep| mean_slowdown(&report, &JobConfig::mechanism(mech).at(ep));
+        let early = at(ExtensionPoint::ModuleOptimizerEarly);
+        let scalar = at(ExtensionPoint::ScalarOptimizerLate);
+        let vec = at(ExtensionPoint::VectorizerStart);
         // §5.5: early is clearly worse; the two late points are comparable.
         assert!(
             (early - 1.0) > (vec - 1.0) * 1.15,
@@ -75,12 +82,10 @@ fn extension_point_ordering_holds() {
 fn table2_signature_entries_hold() {
     // Dominance-only, like the paper artifact: loop widening would shrink
     // the executed-check denominator and skew the wide percentages.
-    let wide = |name: &str, mech: Mechanism| {
-        let b = cbench::by_name(name).unwrap();
-        let mut cfg = MiConfig::new(mech);
-        cfg.opt = OptConfig::no_loops();
-        measure(&b, &cfg, paper_options()).stats.wide_check_percent()
-    };
+    let noloop = |mech| JobConfig::mechanism(mech).opt(OptConfig::no_loops());
+    let report = sweep(vec![noloop(Mechanism::SoftBound), noloop(Mechanism::LowFat)]);
+    let wide =
+        |name: &str, mech: Mechanism| report.ok(name, &noloop(mech)).stats.wide_check_percent();
     // gzip ~62 % wide under SoftBound, fully checked under Low-Fat.
     let g = wide("164gzip", Mechanism::SoftBound);
     assert!((50.0..75.0).contains(&g), "gzip SB wide {g:.1}");
@@ -99,8 +104,11 @@ fn geninvariants_far_below_full_checking() {
     // §5.4/Figures 10-11: metadata propagation alone costs a small fraction
     // of full checking.
     for mech in [Mechanism::SoftBound, Mechanism::LowFat] {
-        let full = mean_slowdown(&MiConfig::new(mech), paper_options());
-        let meta = mean_slowdown(&MiConfig::invariants_only(mech), paper_options());
+        let full_cfg = JobConfig::mechanism(mech);
+        let meta_cfg = JobConfig::mechanism(mech).mode(MiMode::GenInvariantsOnly);
+        let report = sweep(vec![JobConfig::baseline(), full_cfg.clone(), meta_cfg.clone()]);
+        let full = mean_slowdown(&report, &full_cfg);
+        let meta = mean_slowdown(&report, &meta_cfg);
         assert!(
             (meta - 1.0) < (full - 1.0) * 0.3,
             "{mech:?}: metadata-only {meta:.2} too close to full {full:.2}"

@@ -114,8 +114,12 @@ long main(void) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meminstrument::runtime::BuildOptions;
-    use meminstrument::{Mechanism, MiConfig};
+    use meminstrument::{Instrument, Mechanism};
+    use memvm::interp::{ExecOutcome, Trap};
+
+    fn run(b: &Benchmark, mech: Mechanism) -> Result<ExecOutcome, Trap> {
+        Instrument::mechanism(mech).run(cfront::compile(b.source).unwrap())
+    }
 
     #[test]
     fn exclusions_reproduce_the_papers_reasons() {
@@ -125,14 +129,14 @@ mod tests {
                 (Mechanism::SoftBound, ex.softbound_rejects),
                 (Mechanism::LowFat, ex.lowfat_rejects),
             ] {
-                let r = crate::run(b, &MiConfig::new(mech), BuildOptions::default());
+                let r = run(b, mech);
                 assert_eq!(
                     r.is_err(),
                     rejects,
                     "{} under {:?}: expected rejects={rejects}, got {:?}",
                     b.name,
                     mech,
-                    r.as_ref().map(|o| o.exec.ret)
+                    r.as_ref().map(|o| o.ret)
                 );
             }
         }
@@ -143,13 +147,8 @@ mod tests {
         // The dereferences are all within the real allocation, so SoftBound
         // computes the correct sum.
         let ex = &excluded()[0];
-        let out = crate::run(
-            &ex.benchmark,
-            &MiConfig::new(Mechanism::SoftBound),
-            BuildOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(out.exec.ret.unwrap().as_int(), 36); // 1+2+...+8
+        let out = run(&ex.benchmark, Mechanism::SoftBound).unwrap();
+        assert_eq!(out.ret.unwrap().as_int(), 36); // 1+2+...+8
     }
 
     #[test]
@@ -157,11 +156,7 @@ mod tests {
         // NULL-derived pointers carry NULL (or, with the flag, wide-but-
         // base-zero) bounds; the store is reported.
         let ex = excluded().into_iter().find(|e| e.benchmark.name == "176gcc").unwrap();
-        let r = crate::run(
-            &ex.benchmark,
-            &MiConfig::new(Mechanism::SoftBound),
-            BuildOptions::default(),
-        );
+        let r = run(&ex.benchmark, Mechanism::SoftBound);
         assert!(r.is_err(), "{r:?}");
     }
 }

@@ -25,9 +25,6 @@
 
 pub mod excluded;
 pub mod programs;
-pub mod runner;
-
-pub use runner::{run, run_baseline, validate_benchmark, BenchOutcome};
 
 /// One benchmark program.
 #[derive(Copy, Clone, Debug)]

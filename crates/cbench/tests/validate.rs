@@ -3,7 +3,32 @@
 //! criterion: "we evaluate only the benchmarks that execute successfully
 //! with both approaches").
 
-use cbench::{by_name, validate_benchmark};
+use cbench::{by_name, Benchmark};
+use meminstrument::{Instrument, Mechanism};
+use memvm::interp::ExecOutcome;
+
+/// Runs `b` under `cell`, panicking with a diagnostic on a trap.
+fn run(b: &Benchmark, cell: &Instrument) -> ExecOutcome {
+    let module =
+        cfront::compile(b.source).unwrap_or_else(|e| panic!("{}: frontend error: {e}", b.name));
+    cell.run(module).unwrap_or_else(|t| panic!("{} [{cell}] trapped: {t}", b.name))
+}
+
+/// The benchmark must run to completion under the baseline and under both
+/// mechanisms (paper basis configs), with identical output. Returns the
+/// three outcomes (baseline, SoftBound, Low-Fat).
+fn validate_benchmark(b: &Benchmark) -> [ExecOutcome; 3] {
+    let [base, sb, lf] = [
+        Instrument::baseline(),
+        Instrument::mechanism(Mechanism::SoftBound),
+        Instrument::mechanism(Mechanism::LowFat),
+    ]
+    .map(|cell| run(b, &cell));
+    assert_eq!(base.output, sb.output, "{}: softbound output diverged", b.name);
+    assert_eq!(base.output, lf.output, "{}: lowfat output diverged", b.name);
+    assert!(!base.output.is_empty(), "{}: benchmark must print a checksum", b.name);
+    [base, sb, lf]
+}
 
 macro_rules! validate {
     ($test:ident, $name:literal) => {
@@ -12,10 +37,10 @@ macro_rules! validate {
             let b = by_name($name).expect("benchmark exists");
             let [base, sb, lf] = validate_benchmark(&b);
             // Instrumentation must actually be doing something.
-            assert!(sb.exec.stats.checks_executed > 0, "softbound ran no checks");
-            assert!(lf.exec.stats.checks_executed > 0, "lowfat ran no checks");
-            assert!(sb.exec.stats.cost_total > base.exec.stats.cost_total);
-            assert!(lf.exec.stats.cost_total > base.exec.stats.cost_total);
+            assert!(sb.stats.checks_executed > 0, "softbound ran no checks");
+            assert!(lf.stats.checks_executed > 0, "lowfat ran no checks");
+            assert!(sb.stats.cost_total > base.stats.cost_total);
+            assert!(lf.stats.cost_total > base.stats.cost_total);
         }
     };
 }
@@ -44,13 +69,8 @@ validate!(sphinx3_482, "482sphinx3");
 /// The Table 2 *traits* — which benchmarks see wide-bounds checks where.
 #[test]
 fn table2_wide_bounds_traits() {
-    use meminstrument::runtime::BuildOptions;
-    use meminstrument::{Mechanism, MiConfig};
-
     let check = |name: &str, mech: Mechanism| -> f64 {
-        let b = by_name(name).unwrap();
-        let out = cbench::run(&b, &MiConfig::new(mech), BuildOptions::default()).unwrap();
-        out.exec.stats.wide_check_percent()
+        run(&by_name(name).unwrap(), &Instrument::mechanism(mech)).stats.wide_check_percent()
     };
 
     // 164gzip: most SoftBound checks are wide (paper: 61.71 %)...

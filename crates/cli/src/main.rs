@@ -88,6 +88,7 @@
 //!                                           given, otherwise sampling is off)
 //! ```
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -116,6 +117,22 @@ fn usage() -> ExitCode {
 /// `--sample-interval`: one stack sample per 1000 charged cost units.
 const DEFAULT_SAMPLE_INTERVAL: u64 = 1000;
 
+/// The value following `flag` in `it`, parsed as `T`; the error names the
+/// flag and `what` it expects.
+fn flag_value<T: FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    it.next().and_then(|s| s.parse().ok()).ok_or_else(|| format!("{flag} expects {what}"))
+}
+
+/// Reports a usage error the way every subcommand does (exit code 2).
+fn usage_error(e: String) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::from(2)
+}
+
 struct Options {
     /// The typed instrumentation cell built from the command line; its
     /// `Display` form is the stable configuration label shared with the
@@ -143,20 +160,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--trace" => match it.next() {
-                Some(p) => trace = Some(p.clone()),
-                None => return Err("--trace expects a path".to_string()),
-            },
-            "--flame" => match it.next() {
-                Some(p) => flame = Some(p.clone()),
-                None => return Err("--flame expects a path".to_string()),
-            },
-            "--sample-interval" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(0) | None => {
-                    return Err("--sample-interval expects a positive number".to_string())
-                }
-                Some(n) => sample_interval = n,
-            },
+            "--trace" => trace = Some(flag_value(&mut it, a, "a path")?),
+            "--flame" => flame = Some(flag_value(&mut it, a, "a path")?),
+            "--sample-interval" => {
+                sample_interval = flag_value::<NonZeroU64>(&mut it, a, "a positive number")?.get()
+            }
             "--mech" => {
                 mech = match it.next().map(String::as_str) {
                     Some("none") => None,
@@ -190,10 +198,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--no-opt-ipo" => opt.ipo = false,
             "--narrow" => narrow = true,
             "--wrapper-checks" => wrappers = true,
-            "--vm" => match it.next() {
-                Some(s) => backend = VmBackend::from_str(s)?,
-                None => return Err("--vm expects walk|bytecode".to_string()),
-            },
+            "--vm" => backend = flag_value(&mut it, a, "walk|bytecode")?,
             a if a.starts_with("--vm=") => backend = VmBackend::from_str(&a["--vm=".len()..])?,
             other => return Err(format!("unknown option {other}")),
         }
@@ -213,16 +218,34 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(Options { cell, trace, flame, sample_interval })
 }
 
-/// Writes the VM's folded flame profile to `path` (collapsed-stack text).
-/// A no-op returning success when sampling was off.
-fn write_flame(tag: &str, path: &str, vm: &memvm::Vm, interval: u64) -> Result<(), String> {
-    let Some(f) = vm.flame() else { return Ok(()) };
-    std::fs::write(path, f.render()).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "[{tag}] flame profile ({} samples, 1 per {interval} cost units) written to {path}",
-        f.total_samples()
-    );
-    Ok(())
+/// Runs `main` of `prog` under the cell's VM configuration, writing the
+/// flame profile to `--flame` when sampling is on. The VM is built by hand
+/// (instead of `run_main`) so the profile survives the run — including
+/// runs that end in a trap. Failures are reported here; `Err` carries the
+/// exit code.
+fn run_local(
+    tag: &str,
+    prog: &meminstrument::CompiledProgram,
+    o: &Options,
+) -> Result<memvm::interp::ExecOutcome, ExitCode> {
+    let trapped = |t: memvm::Trap| {
+        eprintln!("[mi] {t}");
+        ExitCode::FAILURE
+    };
+    let mut vm = prog.make_vm(o.cell.vm_config()).map_err(trapped)?;
+    let result = vm.run("main", &[]);
+    if let (Some(path), Some(f)) = (&o.flame, vm.flame()) {
+        if let Err(e) = std::fs::write(path, f.render()) {
+            eprintln!("error: {path}: {e}");
+            return Err(ExitCode::FAILURE);
+        }
+        eprintln!(
+            "[{tag}] flame profile ({} samples, 1 per {} cost units) written to {path}",
+            f.total_samples(),
+            o.sample_interval
+        );
+    }
+    result.map_err(trapped)
 }
 
 /// Resolves `path` to a (source name, source text) pair: an on-disk file,
@@ -237,9 +260,9 @@ fn resolve_source(path: &str) -> Result<(String, String), String> {
                 .unwrap_or_else(|| path.to_string());
             Ok((name, src))
         }
-        Err(e) => match bench::driver::benchmark_programs().into_iter().find(|p| p.name == path) {
-            Some(p) => Ok((format!("{}.c", p.name), p.source)),
-            None => Err(format!("{path}: {e} (and no built-in benchmark has that name)")),
+        Err(e) => match (bench::job::SourceRef::Benchmark { name: path.to_string() }).resolve() {
+            Ok(p) => Ok((format!("{}.c", p.name), p.source)),
+            Err(_) => Err(format!("{path}: {e} (and no built-in benchmark has that name)")),
         },
     }
 }
@@ -250,31 +273,15 @@ fn frontend(path: &str) -> Result<mir::Module, String> {
 }
 
 fn build(module: mir::Module, o: &Options) -> meminstrument::CompiledProgram {
-    o.cell.compile(module)
+    o.cell.compile(module, None)
 }
 
-/// Like [`build`], recording a pass-pipeline trace into `rec`.
-fn build_traced(
-    module: mir::Module,
-    o: &Options,
-    rec: &mut TraceRecorder,
-) -> meminstrument::CompiledProgram {
-    o.cell.compile_traced(module, rec)
-}
-
-fn cmd_run(path: &str, o: &Options) -> ExitCode {
-    let module = match frontend(path) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_run(module: mir::Module, o: &Options) -> ExitCode {
     let prog = match &o.trace {
         None => build(module, o),
         Some(trace_path) => {
             let mut rec = TraceRecorder::new();
-            let prog = build_traced(module, o, &mut rec);
+            let prog = o.cell.compile(module, Some(&mut rec));
             if let Err(e) = std::fs::write(trace_path, rec.to_chrome_trace()) {
                 eprintln!("error: {trace_path}: {e}");
                 return ExitCode::FAILURE;
@@ -286,65 +293,30 @@ fn cmd_run(path: &str, o: &Options) -> ExitCode {
             prog
         }
     };
-    // Build the VM by hand (instead of `run_main`) so the flame profile
-    // survives the run — including runs that end in a trap.
-    let mut vm = match prog.make_vm(o.cell.vm_config()) {
-        Ok(vm) => vm,
-        Err(t) => {
-            eprintln!("[mi] {t}");
-            return ExitCode::FAILURE;
-        }
+    let out = match run_local("mi", &prog, o) {
+        Ok(out) => out,
+        Err(code) => return code,
     };
-    let result = vm.run("main", &[]);
-    if let Some(fp) = &o.flame {
-        if let Err(e) = write_flame("mi", fp, &vm, o.sample_interval) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    for line in &out.output {
+        println!("{line}");
     }
-    match result {
-        Ok(out) => {
-            for line in &out.output {
-                println!("{line}");
-            }
-            let ret = out.ret.map(|v| v.as_int() as i64).unwrap_or(0);
-            eprintln!(
-                "[mi] exit {ret}, cost {}, {} checks ({} wide)",
-                out.stats.cost_total, out.stats.checks_executed, out.stats.checks_wide
-            );
-            ExitCode::from((ret & 0xFF) as u8)
-        }
-        Err(t) => {
-            eprintln!("[mi] {t}");
-            ExitCode::FAILURE
-        }
-    }
+    let ret = out.ret.map(|v| v.as_int() as i64).unwrap_or(0);
+    eprintln!(
+        "[mi] exit {ret}, cost {}, {} checks ({} wide)",
+        out.stats.cost_total, out.stats.checks_executed, out.stats.checks_wide
+    );
+    ExitCode::from((ret & 0xFF) as u8)
 }
 
-fn cmd_ir(path: &str, o: &Options) -> ExitCode {
-    match frontend(path) {
-        Ok(module) => {
-            let prog = build(module, o);
-            print!("{}", mir::printer::print_module(&prog.module));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_ir(module: mir::Module, o: &Options) -> ExitCode {
+    let prog = build(module, o);
+    print!("{}", mir::printer::print_module(&prog.module));
+    ExitCode::SUCCESS
 }
 
-fn cmd_check(path: &str) -> ExitCode {
-    let module = match frontend(path) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_check(path: &str, module: mir::Module) -> ExitCode {
     println!("{path}:");
-    let base = Instrument::baseline().compile(module.clone());
+    let base = Instrument::baseline().compile(module.clone(), None);
     match base.run_main(VmConfig::default()) {
         Ok(out) => {
             println!("  baseline : ok (exit {})", out.ret.map(|v| v.as_int() as i64).unwrap_or(0))
@@ -353,7 +325,7 @@ fn cmd_check(path: &str) -> ExitCode {
     }
     let mut verdict = 0;
     for mech in [Mechanism::SoftBound, Mechanism::LowFat, Mechanism::RedZone] {
-        let prog = Instrument::mechanism(mech).compile(module.clone());
+        let prog = Instrument::mechanism(mech).compile(module.clone(), None);
         match prog.run_main(VmConfig::default()) {
             Ok(out) => println!(
                 "  {:9}: ok ({} checks, {:.2}% wide)",
@@ -370,15 +342,8 @@ fn cmd_check(path: &str) -> ExitCode {
     ExitCode::from(verdict)
 }
 
-fn cmd_stats(path: &str, o: &Options) -> ExitCode {
-    let module = match frontend(path) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let base = Instrument::from_parts(None, o.cell.build_options()).compile(module.clone());
+fn cmd_stats(module: mir::Module, o: &Options) -> ExitCode {
+    let base = Instrument::from_parts(None, o.cell.build_options()).compile(module.clone(), None);
     let base_size: usize = base.module.functions.iter().map(|f| f.live_instr_count()).sum();
     let prog = build(module, o);
     let size: usize = prog.module.functions.iter().map(|f| f.live_instr_count()).sum();
@@ -452,12 +417,9 @@ fn cmd_profile(path: &str, args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--top" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => top = n,
-                None => {
-                    eprintln!("error: --top expects a number");
-                    return ExitCode::from(2);
-                }
+            "--top" => match flag_value(&mut it, a, "a number") {
+                Ok(n) => top = n,
+                Err(e) => return usage_error(e),
             },
             "--json" => json = true,
             other => rest.push(other.to_string()),
@@ -480,58 +442,26 @@ fn cmd_profile(path: &str, args: &[String]) -> ExitCode {
     let prog = build(module, &o);
     let src_file = prog.module.src_file.clone();
     let sites = prog.module.check_sites.clone();
-    let mut vm = match prog.make_vm(o.cell.vm_config()) {
-        Ok(vm) => vm,
-        Err(t) => {
-            eprintln!("[mi] {t}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = vm.run("main", &[]);
-    if let Some(fp) = &o.flame {
-        if let Err(e) = write_flame("mi profile", fp, &vm, o.sample_interval) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let out = match result {
+    let out = match run_local("mi profile", &prog, &o) {
         Ok(out) => out,
-        Err(t) => {
-            eprintln!("[mi] {t}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
 
     if json {
         // The daemon renders profile jobs through the same function, so
         // `mi profile --json` and a served profile job agree byte-for-byte.
-        let ok = bench::driver::CellOk {
-            ret: out.ret.map(|v| v.as_int() as i64),
-            output: out.output,
-            stats: out.stats,
-            instr: prog.stats.clone(),
-            profile: out.profile,
-            ops: vm.op_metrics().clone(),
-            mem: vm.memory().counters(),
-            flame: vm.flame(),
-        };
-        print!("{}", bench::job::profile_report(&prog, &ok, path, &o.cell.to_string(), top));
+        let label = o.cell.to_string();
+        print!(
+            "{}",
+            bench::job::profile_report(&prog, &out.profile, &out.stats, path, &label, top)
+        );
         return ExitCode::SUCCESS;
     }
 
     let s = &out.stats;
+    let (sites_hit, ranked) = bench::job::rank_sites(&out.profile, s, sites.len(), top);
     let (hits, wide, cost) =
         (out.profile.total_hits(), out.profile.total_wide(), out.profile.total_cost());
-    assert_eq!(hits, s.checks_executed + s.invariant_checks_executed, "profile/stats drift");
-    assert_eq!(wide, s.checks_wide, "profile/stats drift");
-    assert_eq!(cost, s.cost_checks, "profile/stats drift");
-
-    // Rank executed sites by cost, then hits; stable on site index.
-    let mut ranked: Vec<(usize, memvm::SiteCounts)> =
-        (0..sites.len()).map(|i| (i, out.profile.get(i))).filter(|(_, c)| c.hits > 0).collect();
-    ranked.sort_by(|a, b| (b.1.cost, b.1.hits, a.0).cmp(&(a.1.cost, a.1.hits, b.0)));
-    let sites_hit = ranked.len();
-    ranked.truncate(top);
 
     let file_label = src_file.as_deref().unwrap_or(path);
     println!("[mi profile] {file_label} — {}", o.cell);
@@ -589,94 +519,48 @@ fn cmd_eval(args: &[String]) -> ExitCode {
     let mut sample_interval = 0u64;
     let mut files: Vec<String> = Vec::new();
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("error: --jobs expects a number");
-                    return ExitCode::from(2);
+    let mut parse = || -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--jobs" | "-j" => jobs = flag_value(&mut it, "--jobs", "a number")?,
+                "--vm" => backend = flag_value(&mut it, a, "walk|bytecode")?,
+                a if a.starts_with("--vm=") => backend = VmBackend::from_str(&a["--vm=".len()..])?,
+                "--out" | "-o" => out_path = Some(flag_value(&mut it, "--out", "a path")?),
+                "--trace" => trace_path = Some(flag_value(&mut it, a, "a path")?),
+                "--metrics" => metrics_path = Some(flag_value(&mut it, a, "a path")?),
+                "--flame" => flame_path = Some(flag_value(&mut it, a, "a path")?),
+                "--sample-interval" => {
+                    sample_interval =
+                        flag_value::<NonZeroU64>(&mut it, a, "a positive number")?.get()
                 }
-            },
-            "--vm" => match it.next().map(|s| VmBackend::from_str(s)) {
-                Some(Ok(b)) => backend = b,
-                _ => {
-                    eprintln!("error: --vm expects walk|bytecode");
-                    return ExitCode::from(2);
-                }
-            },
-            a if a.starts_with("--vm=") => match VmBackend::from_str(&a["--vm=".len()..]) {
-                Ok(b) => backend = b,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" | "-o" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --out expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace" => match it.next() {
-                Some(p) => trace_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --trace expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--metrics" => match it.next() {
-                Some(p) => metrics_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --metrics expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--flame" => match it.next() {
-                Some(p) => flame_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --flame expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--sample-interval" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => sample_interval = n,
-                _ => {
-                    eprintln!("error: --sample-interval expects a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--timings" => timings = true,
-            f if !f.starts_with("--") => files.push(f.to_string()),
-            other => {
-                eprintln!("error: unknown eval option {other}");
-                return ExitCode::from(2);
+                "--timings" => timings = true,
+                f if !f.starts_with("--") => files.push(f.to_string()),
+                other => return Err(format!("unknown eval option {other}")),
             }
         }
+        Ok(())
+    };
+    if let Err(e) = parse() {
+        return usage_error(e);
     }
     let programs: Vec<Program> = if files.is_empty() {
         benchmark_programs()
     } else {
         let mut programs = Vec::new();
         for f in &files {
-            let source = match std::fs::read_to_string(f) {
-                Ok(s) => s,
+            match resolve_source(f) {
+                // Reports key programs by file stem (`prog`, `183equake`).
+                Ok((name, source)) => programs.push(Program {
+                    name: std::path::Path::new(&name)
+                        .file_stem()
+                        .map_or(name.clone(), |s| s.to_string_lossy().into_owned()),
+                    source,
+                }),
                 Err(e) => {
-                    // Fall back to a built-in benchmark name.
-                    if let Some(p) = benchmark_programs().into_iter().find(|p| &p.name == f) {
-                        programs.push(p);
-                        continue;
-                    }
-                    eprintln!("error: {f}: {e}");
+                    eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
-            };
-            let name = std::path::Path::new(f)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| f.clone());
-            programs.push(Program { name, source });
+            }
         }
         programs
     };
@@ -780,66 +664,28 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     let mut opts = fuzz::FuzzOpts::default();
     let mut replay: Option<u64> = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            it.next().and_then(|s| s.parse().ok()).ok_or_else(|| format!("{name} expects a number"))
-        };
-        match a.as_str() {
-            "--seed" => match num("--seed") {
-                Ok(n) => opts.seed = n,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
+    let mut parse = || -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--seed" => opts.seed = flag_value(&mut it, a, "a number")?,
+                "--cases" | "-n" => opts.cases = flag_value(&mut it, "--cases", "a number")?,
+                "--jobs" | "-j" => {
+                    opts.jobs = flag_value::<usize>(&mut it, "--jobs", "a number")?.max(1)
                 }
-            },
-            "--cases" | "-n" => match num("--cases") {
-                Ok(n) => opts.cases = n,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
+                "--replay" => replay = Some(flag_value(&mut it, a, "a number")?),
+                "--fail-dir" => opts.fail_dir = Some(flag_value(&mut it, a, "a path")?),
+                "--no-shrink" => opts.shrink = false,
+                "--vm" => opts.backend = flag_value(&mut it, a, "walk|bytecode")?,
+                a if a.starts_with("--vm=") => {
+                    opts.backend = VmBackend::from_str(&a["--vm=".len()..])?
                 }
-            },
-            "--jobs" | "-j" => match num("--jobs") {
-                Ok(n) => opts.jobs = n.max(1) as usize,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--replay" => match num("--replay") {
-                Ok(n) => replay = Some(n),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fail-dir" => match it.next() {
-                Some(p) => opts.fail_dir = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --fail-dir expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-shrink" => opts.shrink = false,
-            "--vm" => match it.next().map(|s| VmBackend::from_str(s)) {
-                Some(Ok(b)) => opts.backend = b,
-                _ => {
-                    eprintln!("error: --vm expects walk|bytecode");
-                    return ExitCode::from(2);
-                }
-            },
-            a if a.starts_with("--vm=") => match VmBackend::from_str(&a["--vm=".len()..]) {
-                Ok(b) => opts.backend = b,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown fuzz option {other}");
-                return ExitCode::from(2);
+                other => return Err(format!("unknown fuzz option {other}")),
             }
         }
+        Ok(())
+    };
+    if let Err(e) = parse() {
+        return usage_error(e);
     }
     if let Some(index) = replay {
         let (text, failed) = fuzz::replay(opts.seed, index);
@@ -859,57 +705,31 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut cfg = serve::ServerConfig::default();
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => match it.next() {
-                Some(p) => cfg.socket = std::path::PathBuf::from(p),
-                None => {
-                    eprintln!("error: --socket expects a path");
-                    return ExitCode::from(2);
+    let mut parse = || -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--socket" => cfg.socket = flag_value(&mut it, a, "a path")?,
+                "--workers" => cfg.workers = flag_value(&mut it, a, "a number")?,
+                "--queue" => {
+                    cfg.queue_cap =
+                        flag_value::<NonZeroUsize>(&mut it, a, "a positive number")?.get()
                 }
-            },
-            "--workers" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => cfg.workers = n,
-                None => {
-                    eprintln!("error: --workers expects a number");
-                    return ExitCode::from(2);
+                "--deadline-ms" => {
+                    // 0 disables the default deadline entirely.
+                    let ms: u64 = flag_value(&mut it, a, "a number (0 = none)")?;
+                    cfg.default_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
                 }
-            },
-            "--queue" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => cfg.queue_cap = n,
-                _ => {
-                    eprintln!("error: --queue expects a positive number");
-                    return ExitCode::from(2);
+                "--vm" => cfg.vm.backend = flag_value(&mut it, a, "walk|bytecode")?,
+                a if a.starts_with("--vm=") => {
+                    cfg.vm.backend = VmBackend::from_str(&a["--vm=".len()..])?
                 }
-            },
-            "--deadline-ms" => match it.next().and_then(|s| s.parse().ok()) {
-                // 0 disables the default deadline entirely.
-                Some(0) => cfg.default_deadline = None,
-                Some(n) => cfg.default_deadline = Some(std::time::Duration::from_millis(n)),
-                None => {
-                    eprintln!("error: --deadline-ms expects a number (0 = none)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--vm" => match it.next().map(|s| VmBackend::from_str(s)) {
-                Some(Ok(b)) => cfg.vm.backend = b,
-                _ => {
-                    eprintln!("error: --vm expects walk|bytecode");
-                    return ExitCode::from(2);
-                }
-            },
-            a if a.starts_with("--vm=") => match VmBackend::from_str(&a["--vm=".len()..]) {
-                Ok(b) => cfg.vm.backend = b,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown serve option {other}");
-                return ExitCode::from(2);
+                other => return Err(format!("unknown serve option {other}")),
             }
         }
+        Ok(())
+    };
+    if let Err(e) = parse() {
+        return usage_error(e);
     }
     let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -1023,63 +843,30 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
     let mut socket_arg: Option<std::path::PathBuf> = None;
     let mut backend = VmBackend::default();
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--clients" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => clients = n,
-                _ => {
-                    eprintln!("error: --clients expects a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--requests" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => requests = n,
-                _ => {
-                    eprintln!("error: --requests expects a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--programs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => program_cap = n,
-                _ => {
-                    eprintln!("error: --programs expects a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--window" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => window = n,
-                _ => {
-                    eprintln!("error: --window expects a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--action" => match it.next().map(String::as_str) {
-                Some("compile") => (action, action_name) = (JobAction::Compile, "compile"),
-                Some("run") => (action, action_name) = (JobAction::Run, "run"),
-                other => {
-                    eprintln!("error: bad --action {other:?} (compile|run)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--socket" => match it.next() {
-                Some(p) => socket_arg = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --socket expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--vm" => match it.next().map(|s| VmBackend::from_str(s)) {
-                Some(Ok(b)) => backend = b,
-                _ => {
-                    eprintln!("error: --vm expects walk|bytecode");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown bench-serve option {other}");
-                return ExitCode::from(2);
+    let mut parse = || -> Result<(), String> {
+        let positive = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
+            flag_value::<NonZeroUsize>(it, flag, "a positive number").map(NonZeroUsize::get)
+        };
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--clients" => clients = positive(&mut it, a)?,
+                "--requests" => requests = positive(&mut it, a)?,
+                "--programs" => program_cap = positive(&mut it, a)?,
+                "--window" => window = positive(&mut it, a)?,
+                "--action" => match it.next().map(String::as_str) {
+                    Some("compile") => (action, action_name) = (JobAction::Compile, "compile"),
+                    Some("run") => (action, action_name) = (JobAction::Run, "run"),
+                    other => return Err(format!("bad --action {other:?} (compile|run)")),
+                },
+                "--socket" => socket_arg = Some(flag_value(&mut it, a, "a path")?),
+                "--vm" => backend = flag_value(&mut it, a, "walk|bytecode")?,
+                other => return Err(format!("unknown bench-serve option {other}")),
             }
         }
+        Ok(())
+    };
+    if let Err(e) = parse() {
+        return usage_error(e);
     }
 
     let mut programs = benchmark_programs();
@@ -1283,6 +1070,9 @@ fn main() -> ExitCode {
             opt_args.remove(i);
         }
     }
+    if !matches!(cmd, "run" | "ir" | "check" | "stats") {
+        return usage();
+    }
     let options = match parse_options(&opt_args) {
         Ok(o) => o,
         Err(e) => {
@@ -1290,14 +1080,20 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    if let Some(socket) = connect {
+        return cmd_run_connect(path, &socket, &options);
+    }
+    let module = match frontend(path) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     match cmd {
-        "run" => match connect {
-            Some(socket) => cmd_run_connect(path, &socket, &options),
-            None => cmd_run(path, &options),
-        },
-        "ir" => cmd_ir(path, &options),
-        "check" => cmd_check(path),
-        "stats" => cmd_stats(path, &options),
-        _ => usage(),
+        "run" => cmd_run(module, &options),
+        "ir" => cmd_ir(module, &options),
+        "check" => cmd_check(path, module),
+        _ => cmd_stats(module, &options),
     }
 }

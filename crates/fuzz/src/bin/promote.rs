@@ -18,18 +18,13 @@ use std::fmt::Write as _;
 
 use fuzz::mutate::ALL_KINDS;
 use fuzz::{case_programs, oracle, shrink};
-use meminstrument::runtime::{compile, compile_baseline, BuildOptions};
-use meminstrument::{Mechanism, MiConfig};
+use meminstrument::{Instrument, Mechanism};
 use memvm::interp::Trap;
-use memvm::VmConfig;
 
 /// The concrete default-configuration outcome, in CHECK-line syntax.
 fn check_verdict(module: &mir::Module, mech: Option<Mechanism>) -> String {
-    let prog = match mech {
-        None => compile_baseline(module.clone(), BuildOptions::default()),
-        Some(m) => compile(module.clone(), &MiConfig::new(m), BuildOptions::default()),
-    };
-    match prog.run_main(VmConfig::default()) {
+    let cell = mech.map_or_else(Instrument::baseline, Instrument::mechanism);
+    match cell.run(module.clone()) {
         Ok(out) => format!("ok={}", out.ret.map(|v| v.as_int() as i64).unwrap_or(0)),
         Err(Trap::MemSafetyViolation { .. }) => "violation".into(),
         Err(Trap::UnmappedAccess { .. }) => "segfault".into(),

@@ -103,7 +103,7 @@ pub fn check_pair_with(
     let mut cells: HashMap<(String, String), Result<CellOk, CellTrap>> = HashMap::new();
     for spec in job::job_matrix(&programs, &configs) {
         match job::execute(&spec, &store, vm, &JobCtl::default()) {
-            Ok(JobOutcome::Cell { program, config, outcome }) => {
+            Ok(JobOutcome::Cell { program, config, outcome, .. }) => {
                 cells.insert((program, config), *outcome);
             }
             Ok(other) => unreachable!("run jobs yield cells, got {other:?}"),

@@ -297,11 +297,6 @@ impl Instrument {
         self
     }
 
-    /// The selected VM execution engine.
-    pub fn backend(&self) -> VmBackend {
-        self.backend
-    }
-
     /// Enables the cost-driven flame sampler: one stack sample every
     /// `interval` charged cost units (0 disables sampling, the default).
     pub fn sample_interval(mut self, interval: u64) -> Instrument {
@@ -328,68 +323,76 @@ impl Instrument {
     pub fn is_baseline(&self) -> bool {
         self.config.is_none()
     }
-
-    /// Decomposes into `(config, build options)`.
-    pub fn into_parts(self) -> (Option<MiConfig>, BuildOptions) {
-        (self.config, self.opts)
-    }
 }
 
+/// Accessor of one boolean [`MiConfig`] toggle.
+type Toggle = fn(&mut MiConfig) -> &mut bool;
+
+/// The flag tokens of a label, one per [`MiConfig`] toggle that differs
+/// from [`MiConfig::new`]: `(token, field, value that renders it)`.
+const FLAGS: [(&str, Toggle, bool); 4] = [
+    ("wrap", |c| &mut c.sb_wrapper_checks, true),
+    ("narrow", |c| &mut c.sb_narrow_member_bounds, true),
+    ("sznull", |c| &mut c.sb_size_zero_wide_upper, false),
+    ("i2pnull", |c| &mut c.sb_inttoptr_wide_bounds, false),
+];
+
 /// The mechanism suffix of a label: how mode and [`OptConfig`] render.
+/// Invariants-only cells keep the optimization part after `-inv`, since
+/// dominance elimination still runs (and counts) in that mode.
 fn opt_suffix(c: &MiConfig) -> String {
-    if c.mode == MiMode::GenInvariantsOnly {
-        return "-inv".into();
-    }
-    match (c.opt.dominance, c.opt.loop_hoist, c.opt.loop_widen, c.opt.ipo) {
+    let opt = match (c.opt.dominance, c.opt.loop_hoist, c.opt.loop_widen, c.opt.ipo) {
         (true, true, true, true) => String::new(),
         (false, false, false, false) => "-unopt".into(),
         (true, true, true, false) => "-noipo".into(),
         (true, false, false, true) => "-noloop".into(),
         (false, true, true, true) => "-nodom".into(),
         (d, h, w, i) => format!("-optd{}h{}w{}i{}", d as u8, h as u8, w as u8, i as u8),
+    };
+    match c.mode {
+        MiMode::Full => opt,
+        MiMode::GenInvariantsOnly => format!("-inv{opt}"),
     }
 }
 
 fn parse_suffix(s: &str) -> Result<(MiMode, OptConfig), String> {
-    match s {
-        "" => Ok((MiMode::Full, OptConfig::default())),
-        "-inv" => Ok((MiMode::GenInvariantsOnly, OptConfig::default())),
-        "-unopt" => Ok((MiMode::Full, OptConfig::none())),
-        "-noipo" => Ok((MiMode::Full, OptConfig::no_ipo())),
-        "-noloop" => Ok((MiMode::Full, OptConfig::no_loops())),
-        "-nodom" => Ok((MiMode::Full, OptConfig { dominance: false, ..OptConfig::default() })),
+    let (mode, opt) = match s.strip_prefix("-inv") {
+        Some(rest) => (MiMode::GenInvariantsOnly, rest),
+        None => (MiMode::Full, s),
+    };
+    let opt = match opt {
+        "" => OptConfig::default(),
+        "-unopt" => OptConfig::none(),
+        "-noipo" => OptConfig::no_ipo(),
+        "-noloop" => OptConfig::no_loops(),
+        "-nodom" => OptConfig { dominance: false, ..OptConfig::default() },
         _ => {
             let rest =
-                s.strip_prefix("-optd").ok_or_else(|| format!("unknown config suffix `{s}`"))?;
+                opt.strip_prefix("-optd").ok_or_else(|| format!("unknown config suffix `{s}`"))?;
             let bit = |c: u8| match c {
                 b'0' => Ok(false),
                 b'1' => Ok(true),
                 _ => Err(format!("unknown config suffix `{s}`")),
             };
             match rest.as_bytes() {
-                [d, b'h', h, b'w', w, b'i', i] => Ok((
-                    MiMode::Full,
-                    OptConfig {
-                        dominance: bit(*d)?,
-                        loop_hoist: bit(*h)?,
-                        loop_widen: bit(*w)?,
-                        ipo: bit(*i)?,
-                    },
-                )),
+                [d, b'h', h, b'w', w, b'i', i] => OptConfig {
+                    dominance: bit(*d)?,
+                    loop_hoist: bit(*h)?,
+                    loop_widen: bit(*w)?,
+                    ipo: bit(*i)?,
+                },
                 // Pre-ipo labels: `-optd{d}h{h}w{w}` implied ipo on.
-                [d, b'h', h, b'w', w] => Ok((
-                    MiMode::Full,
-                    OptConfig {
-                        dominance: bit(*d)?,
-                        loop_hoist: bit(*h)?,
-                        loop_widen: bit(*w)?,
-                        ipo: true,
-                    },
-                )),
-                _ => Err(format!("unknown config suffix `{s}`")),
+                [d, b'h', h, b'w', w] => OptConfig {
+                    dominance: bit(*d)?,
+                    loop_hoist: bit(*h)?,
+                    loop_widen: bit(*w)?,
+                    ipo: true,
+                },
+                _ => return Err(format!("unknown config suffix `{s}`")),
             }
         }
-    }
+    };
+    Ok((mode, opt))
 }
 
 impl fmt::Display for Instrument {
@@ -397,7 +400,14 @@ impl fmt::Display for Instrument {
         match &self.config {
             None => write!(f, "baseline@{}@{}", self.opts.opt, self.opts.ep),
             Some(c) => {
-                write!(f, "{}{}@{}@{}", c.mechanism, opt_suffix(c), self.opts.opt, self.opts.ep)
+                write!(f, "{}{}", c.mechanism, opt_suffix(c))?;
+                let mut c = c.clone();
+                for (token, field, set) in FLAGS {
+                    if *field(&mut c) == set {
+                        write!(f, "+{token}")?;
+                    }
+                }
+                write!(f, "@{}@{}", self.opts.opt, self.opts.ep)
             }
         }
     }
@@ -407,9 +417,12 @@ impl FromStr for Instrument {
     type Err = String;
 
     /// Parses a configuration label of the form
-    /// `<mechanism>[-<suffix>]@<opt level>@<extension point>` (or
-    /// `baseline@…`), the inverse of [`fmt::Display`]. Mechanism and extension
-    /// point accept their CLI short forms.
+    /// `<mechanism>[-<suffix>][+<flag>…]@<opt level>@<extension point>` (or
+    /// `baseline@…`), the inverse of [`fmt::Display`]. Flags name the
+    /// [`MiConfig`] toggles that differ from the paper basis (`+wrap`,
+    /// `+narrow`, `+sznull`, `+i2pnull`), so two configurations that compile
+    /// differently never share a label. Mechanism and extension point
+    /// accept their CLI short forms.
     fn from_str(s: &str) -> Result<Instrument, String> {
         let mut parts = s.split('@');
         let (mech_spec, opt, ep) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -425,6 +438,8 @@ impl FromStr for Instrument {
                 sample_interval: 0,
             });
         }
+        let mut tokens = mech_spec.split('+');
+        let mech_spec = tokens.next().unwrap_or_default();
         // The mechanism name is dash-free, so the first `-` starts the
         // mode/optimization suffix.
         let (mech_str, suffix) = match mech_spec.find('-') {
@@ -433,7 +448,19 @@ impl FromStr for Instrument {
         };
         let mechanism: Mechanism = mech_str.parse()?;
         let (mode, opt) = parse_suffix(suffix)?;
-        let config = MiConfig { mode, opt, ..MiConfig::new(mechanism) };
+        let mut config = MiConfig { mode, opt, ..MiConfig::new(mechanism) };
+        for token in tokens {
+            let (_, field, set) = FLAGS
+                .into_iter()
+                .find(|(t, ..)| *t == token)
+                .ok_or_else(|| format!("unknown config flag `+{token}` in `{s}`"))?;
+            // Each flag renders the non-default value, so finding it
+            // already set means the token came twice.
+            if *field(&mut config) == set {
+                return Err(format!("repeated config flag `+{token}` in `{s}`"));
+            }
+            *field(&mut config) = set;
+        }
         Ok(Instrument {
             config: Some(config),
             opts,
@@ -558,6 +585,81 @@ mod tests {
             let parsed: Instrument = label.parse().unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(parsed, cell, "{label}");
         }
+    }
+
+    /// Every cell the `mi` command line can build (`--mech`, `--ep`,
+    /// `--O0`, `--mode`, `--no-opt-*`, `--narrow`, `--wrapper-checks`), in
+    /// the order the CLI applies the flags.
+    fn cli_reachable_cells() -> Vec<Instrument> {
+        let mut cells = Vec::new();
+        for ep in ExtensionPoint::ALL {
+            for level in [OptLevel::O0, OptLevel::O3] {
+                cells.push(Instrument::baseline().at(ep).opt_level(level));
+                for m in [Mechanism::SoftBound, Mechanism::LowFat, Mechanism::RedZone] {
+                    for mode in [MiMode::Full, MiMode::GenInvariantsOnly] {
+                        for bits in 0..32u8 {
+                            let bit = |i: u8| bits & (1 << i) != 0;
+                            let opt = OptConfig {
+                                dominance: !bit(0),
+                                loop_hoist: !bit(1),
+                                loop_widen: !bit(1),
+                                ipo: !bit(2),
+                            };
+                            let cell = Instrument::mechanism(m)
+                                .mode(mode)
+                                .opt(opt)
+                                .configure(|c| {
+                                    c.sb_narrow_member_bounds = bit(3);
+                                    c.sb_wrapper_checks = bit(4);
+                                })
+                                .at(ep)
+                                .opt_level(level);
+                            cells.push(cell);
+                        }
+                    }
+                }
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn every_cli_reachable_cell_round_trips() {
+        let cells = cli_reachable_cells();
+        for cell in &cells {
+            let label = cell.to_string();
+            let parsed: Instrument = label.parse().unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(&parsed, cell, "{label}");
+        }
+        let mut labels: Vec<String> = cells.iter().map(Instrument::to_string).collect();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), cells.len(), "two distinct cells share a label");
+        let flagged = Instrument::mechanism(Mechanism::SoftBound)
+            .configure(|c| {
+                c.sb_wrapper_checks = true;
+                c.sb_narrow_member_bounds = true;
+            })
+            .opt(OptConfig::no_loops());
+        assert_eq!(flagged.to_string(), "softbound-noloop+wrap+narrow@O3@VectorizerStart");
+    }
+
+    #[test]
+    fn flags_that_change_compilation_change_the_label() {
+        let plain = Instrument::mechanism(Mechanism::SoftBound);
+        let mut labels = vec![plain.to_string()];
+        for (_, field, set) in FLAGS {
+            let cell = plain.clone().configure(|c| *field(c) = set);
+            let label = cell.to_string();
+            assert_eq!(label.parse::<Instrument>().unwrap(), cell, "{label}");
+            labels.push(label);
+        }
+        let n = labels.len();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), n, "{labels:?}");
+        assert!("sb+bogus@O3@vec".parse::<Instrument>().is_err());
+        assert!("sb+wrap+wrap@O3@vec".parse::<Instrument>().is_err());
     }
 
     #[test]

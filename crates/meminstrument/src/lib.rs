@@ -25,9 +25,10 @@
 //!   its implementations (SoftBound, Low-Fat Pointers, red zones).
 //! * [`pass`] is the module pass gluing it together; it plugs into
 //!   [`mir::Pipeline`] at any extension point (Figure 8).
-//! * [`runtime`] installs the runtime library (checks, trie, shadow stack,
-//!   low-fat allocators) into a [`memvm::Vm`] and provides the end-to-end
-//!   [`runtime::compile_and_run`] convenience used by examples and benches.
+//! * [`runtime`] compiles modules (one body, [`runtime::complete`]),
+//!   installs the runtime library (checks, trie, shadow stack, low-fat
+//!   allocators) into a [`memvm::Vm`], and provides the end-to-end
+//!   [`runtime::compile_and_run`] convenience used by examples and tests.
 //!
 //! # Quickstart
 //!
@@ -69,9 +70,7 @@ pub use config::{Instrument, Mechanism, MiConfig, MiMode, OptConfig};
 pub use itarget::CheckPlacement;
 pub use opt::ElisionRecord;
 pub use pass::MemInstrumentPass;
-pub use runtime::{
-    compile, compile_and_run, install_runtime, BuildOptions, CompiledProgram, SbAccess, SbAccessLog,
-};
+pub use runtime::{compile, compile_and_run, BuildOptions, CompiledProgram, SbAccess, SbAccessLog};
 pub use stats::InstrStats;
 
 /// Re-export of the VM backend selector, for `Instrument::vm_backend`.

@@ -7,6 +7,14 @@
 //! replaced wholesale (heap allocations become low-fat even when made from
 //! uninstrumented code, §4.3) and instrumented globals are placed into
 //! low-fat regions by a [`memvm::interp::GlobalPlacer`].
+//!
+//! Compilation has one body, [`complete`]: it finishes a
+//! [`pipeline_prefix`] snapshot under an optional instrumentation config.
+//! The other compile functions are thin compositions of it. Tracing is an
+//! argument, not a second family of functions: [`complete`] and
+//! [`Instrument::compile`](crate::Instrument::compile) take an
+//! `Option<&mut TraceRecorder>` and record one span per executed pass when
+//! it is `Some`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -62,140 +70,83 @@ pub struct CompiledProgram {
 /// Compiles `module` with instrumentation per `config` at the extension
 /// point in `opts`.
 pub fn compile(module: Module, config: &MiConfig, opts: BuildOptions) -> CompiledProgram {
-    compile_from_prefix(pipeline_prefix(module, opts), config, opts)
-}
-
-/// Like [`compile`], recording a per-pass span (including the
-/// instrumentation plugin) in `rec`.
-pub fn compile_traced(
-    mut module: Module,
-    config: &MiConfig,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    let p = Pipeline::new(opts.opt);
-    p.run_to_traced(&mut module, opts.ep, rec);
-    let mut pass = MemInstrumentPass::new(config.clone());
-    p.resume_at_traced(&mut module, opts.ep, Some(&mut pass), rec);
-    CompiledProgram {
-        module,
-        mechanism: Some(config.mechanism),
-        stats: pass.stats,
-        elisions: pass.elisions,
-    }
+    complete(pipeline_prefix(module, opts), Some(config), opts, None, None)
 }
 
 /// Compiles `module` without instrumentation (the `-O3` baseline of the
 /// paper's figures).
 pub fn compile_baseline(module: Module, opts: BuildOptions) -> CompiledProgram {
-    compile_baseline_from_prefix(pipeline_prefix(module, opts), opts)
-}
-
-/// Like [`compile_baseline`], recording a per-pass span in `rec`.
-pub fn compile_baseline_traced(
-    mut module: Module,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    let p = Pipeline::new(opts.opt);
-    p.run_to_traced(&mut module, opts.ep, rec);
-    p.resume_at_traced(&mut module, opts.ep, None, rec);
-    CompiledProgram { module, mechanism: None, stats: InstrStats::default(), elisions: Vec::new() }
+    complete(pipeline_prefix(module, opts), None, opts, None, None)
 }
 
 /// Runs the pipeline stages *before* the extension point in `opts` and
 /// returns the module in the state an instrumentation pass would observe.
 ///
 /// The result is a reusable snapshot: it only depends on (module, opt
-/// level, extension point), so the evaluation driver caches it and
-/// completes compilation per mechanism with [`compile_from_prefix`] /
-/// [`compile_baseline_from_prefix`] — the shared prefix is optimized once
-/// instead of once per sweep cell.
+/// level, extension point), so the artifact store caches it and completes
+/// compilation per configuration with [`complete`] — the shared prefix is
+/// optimized once instead of once per sweep cell. To trace the prefix,
+/// call [`Pipeline::run_to`] with a recorder.
 pub fn pipeline_prefix(mut module: Module, opts: BuildOptions) -> Module {
-    Pipeline::new(opts.opt).run_to(&mut module, opts.ep);
+    Pipeline::new(opts.opt).run_to(&mut module, opts.ep, None);
     module
 }
 
-/// Like [`pipeline_prefix`], recording a per-pass span in `rec`.
-pub fn pipeline_prefix_traced(
-    mut module: Module,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> Module {
-    Pipeline::new(opts.opt).run_to_traced(&mut module, opts.ep, rec);
-    module
-}
-
-/// Completes compilation of a [`pipeline_prefix`] snapshot with
-/// instrumentation per `config`. `opts` must match the options the prefix
-/// was built with; the composition equals [`compile`] on the original
-/// module.
-pub fn compile_from_prefix(
-    module: Module,
-    config: &MiConfig,
-    opts: BuildOptions,
-) -> CompiledProgram {
-    compile_from_prefix_with_summaries(module, config, opts, None)
-}
-
-/// Like [`compile_from_prefix`], but reusing precomputed interprocedural
-/// summaries instead of letting the pass summarize the module itself.
+/// The compile stage: completes a [`pipeline_prefix`] snapshot, running
+/// the instrumentation pass per `config` (`None` for the uninstrumented
+/// baseline) at the extension point and then the remaining pipeline
+/// stages. `opts` must match the options the prefix was built with; the
+/// composition equals [`compile`] on the original module.
 ///
-/// The summaries must have been computed (by [`mir::analysis::ipo::summarize`])
-/// over this exact prefix snapshot; `summarize` is deterministic, so a
-/// cached result keyed by (source, build options) composes byte-identically
-/// with the self-summarizing path. Pass `None` to self-summarize.
-pub fn compile_from_prefix_with_summaries(
+/// `summaries` supplies interprocedural summaries computed (by
+/// [`mir::analysis::ipo::summarize`]) over this exact snapshot; `summarize`
+/// is deterministic, so a cached result composes byte-identically with
+/// the self-summarizing path that `None` selects.
+///
+/// With a recorder in `rec`, every executed pass — the instrumentation
+/// plugin included, under `plugin@<ep>` — leaves a span in it.
+pub fn complete(
     mut module: Module,
+    config: Option<&MiConfig>,
+    opts: BuildOptions,
+    summaries: Option<Arc<ModuleSummaries>>,
+    rec: Option<&mut TraceRecorder>,
+) -> CompiledProgram {
+    let p = Pipeline::new(opts.opt);
+    let Some(config) = config else {
+        p.resume_at(&mut module, opts.ep, None, rec);
+        return CompiledProgram {
+            module,
+            mechanism: None,
+            stats: InstrStats::default(),
+            elisions: Vec::new(),
+        };
+    };
+    let mut pass = MemInstrumentPass::new(config.clone()).with_summaries(summaries);
+    p.resume_at(&mut module, opts.ep, Some(&mut pass), rec);
+    CompiledProgram {
+        module,
+        mechanism: Some(config.mechanism),
+        stats: pass.stats,
+        elisions: pass.elisions,
+    }
+}
+
+/// [`complete`] with instrumentation per `config`, reusing precomputed
+/// interprocedural summaries (`None` to self-summarize).
+pub fn compile_from_prefix_with_summaries(
+    module: Module,
     config: &MiConfig,
     opts: BuildOptions,
     summaries: Option<Arc<ModuleSummaries>>,
 ) -> CompiledProgram {
-    let mut pass = MemInstrumentPass::new(config.clone()).with_summaries(summaries);
-    Pipeline::new(opts.opt).resume_at(&mut module, opts.ep, Some(&mut pass));
-    CompiledProgram {
-        module,
-        mechanism: Some(config.mechanism),
-        stats: pass.stats,
-        elisions: pass.elisions,
-    }
+    complete(module, Some(config), opts, summaries, None)
 }
 
-/// Like [`compile_from_prefix`], recording a per-pass span (including the
-/// instrumentation plugin) in `rec`.
-pub fn compile_from_prefix_traced(
-    mut module: Module,
-    config: &MiConfig,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    let mut pass = MemInstrumentPass::new(config.clone());
-    Pipeline::new(opts.opt).resume_at_traced(&mut module, opts.ep, Some(&mut pass), rec);
-    CompiledProgram {
-        module,
-        mechanism: Some(config.mechanism),
-        stats: pass.stats,
-        elisions: pass.elisions,
-    }
-}
-
-/// Completes compilation of a [`pipeline_prefix`] snapshot without
-/// instrumentation; the composition equals [`compile_baseline`] on the
-/// original module.
-pub fn compile_baseline_from_prefix(mut module: Module, opts: BuildOptions) -> CompiledProgram {
-    Pipeline::new(opts.opt).resume_at(&mut module, opts.ep, None);
-    CompiledProgram { module, mechanism: None, stats: InstrStats::default(), elisions: Vec::new() }
-}
-
-/// Like [`compile_baseline_from_prefix`], recording a per-pass span in
-/// `rec`.
-pub fn compile_baseline_from_prefix_traced(
-    mut module: Module,
-    opts: BuildOptions,
-    rec: &mut TraceRecorder,
-) -> CompiledProgram {
-    Pipeline::new(opts.opt).resume_at_traced(&mut module, opts.ep, None, rec);
-    CompiledProgram { module, mechanism: None, stats: InstrStats::default(), elisions: Vec::new() }
+/// [`complete`] without instrumentation; the composition equals
+/// [`compile_baseline`] on the original module.
+pub fn compile_baseline_from_prefix(module: Module, opts: BuildOptions) -> CompiledProgram {
+    complete(module, None, opts, None, None)
 }
 
 impl CompiledProgram {
@@ -209,7 +160,7 @@ impl CompiledProgram {
             None => Vm::new(self.module.clone(), vm_config),
             Some(Mechanism::SoftBound) => {
                 let mut vm = Vm::new(self.module.clone(), vm_config)?;
-                install_runtime(&mut vm, Mechanism::SoftBound);
+                install_softbound(&mut vm, None);
                 Ok(vm)
             }
             Some(Mechanism::LowFat) => {
@@ -274,29 +225,16 @@ pub fn compile_and_run(
 
 impl crate::config::Instrument {
     /// Compiles `module` under this configuration (instrumented or
-    /// baseline).
-    pub fn compile(&self, module: Module) -> CompiledProgram {
-        match self.mi_config() {
-            Some(c) => compile(module, c, self.build_options()),
-            None => compile_baseline(module, self.build_options()),
-        }
-    }
-
-    /// Like [`Instrument::compile`](crate::Instrument::compile), recording
-    /// a per-pass span in `rec`.
-    pub fn compile_traced(&self, module: Module, rec: &mut TraceRecorder) -> CompiledProgram {
-        match self.mi_config() {
-            Some(c) => compile_traced(module, c, self.build_options(), rec),
-            None => compile_baseline_traced(module, self.build_options(), rec),
-        }
-    }
-
-    /// Completes compilation of a matching [`pipeline_prefix`] snapshot.
-    pub fn compile_from_prefix(&self, prefix: Module) -> CompiledProgram {
-        match self.mi_config() {
-            Some(c) => compile_from_prefix(prefix, c, self.build_options()),
-            None => compile_baseline_from_prefix(prefix, self.build_options()),
-        }
+    /// baseline), recording one span per executed pass into `rec` when
+    /// it is `Some`.
+    pub fn compile(
+        &self,
+        mut module: Module,
+        mut rec: Option<&mut TraceRecorder>,
+    ) -> CompiledProgram {
+        let opts = self.build_options();
+        Pipeline::new(opts.opt).run_to(&mut module, opts.ep, rec.as_deref_mut());
+        complete(module, self.mi_config(), opts, None, rec)
     }
 
     /// Compiles and runs `main` to completion.
@@ -307,7 +245,7 @@ impl crate::config::Instrument {
     /// [`Trap::MemSafetyViolation`] when the instrumentation catches an
     /// error.
     pub fn run(&self, module: Module) -> Result<ExecOutcome, Trap> {
-        self.compile(module).run_main(self.vm_config())
+        self.compile(module, None).run_main(self.vm_config())
     }
 }
 
@@ -418,20 +356,6 @@ impl SiteTable {
             }
             None => violation(mechanism, default_kind, addr, detail),
         }
-    }
-}
-
-/// Installs the runtime library for `mechanism` into `vm`.
-///
-/// For SoftBound this is complete. For Low-Fat Pointers this installs the
-/// host functions and allocator replacement but *not* the global mirroring,
-/// which requires constructing the VM via [`CompiledProgram::make_vm`] (the
-/// placer must run at load time).
-pub fn install_runtime(vm: &mut Vm, mechanism: Mechanism) {
-    match mechanism {
-        Mechanism::SoftBound => install_softbound(vm, None),
-        Mechanism::LowFat => install_lowfat(vm, Rc::new(RefCell::new(LowFatHeap::new()))),
-        Mechanism::RedZone => install_redzone(vm, Rc::new(RefCell::new(RzState::new()))),
     }
 }
 
@@ -946,28 +870,27 @@ mod tests {
 
     #[test]
     fn traced_compilation_matches_untraced() {
+        use crate::config::Instrument;
         let m = parse(CORRECT_PROGRAM);
-        for mech in [Mechanism::SoftBound, Mechanism::LowFat, Mechanism::RedZone] {
-            let cfg = MiConfig::new(mech);
-            let plain = compile(m.clone(), &cfg, BuildOptions::default());
+        for cell in [
+            Instrument::mechanism(Mechanism::SoftBound),
+            Instrument::mechanism(Mechanism::LowFat),
+            Instrument::mechanism(Mechanism::RedZone),
+            Instrument::baseline(),
+        ] {
+            let plain = cell.compile(m.clone(), None);
             let mut rec = TraceRecorder::new();
-            let traced = compile_traced(m.clone(), &cfg, BuildOptions::default(), &mut rec);
+            let traced = cell.compile(m.clone(), Some(&mut rec));
             assert_eq!(
                 mir::printer::print_module(&plain.module),
                 mir::printer::print_module(&traced.module),
-                "{mech:?}"
+                "{cell}"
             );
-            assert!(rec.spans().iter().any(|s| s.stage.starts_with("plugin@")));
+            assert!(!rec.spans().is_empty());
+            let plugin_spans =
+                rec.spans().iter().filter(|s| s.stage.starts_with("plugin@")).count();
+            assert_eq!(plugin_spans, usize::from(!cell.is_baseline()), "{cell}");
         }
-        let plain = compile_baseline(m.clone(), BuildOptions::default());
-        let mut rec = TraceRecorder::new();
-        let traced = compile_baseline_traced(m, BuildOptions::default(), &mut rec);
-        assert_eq!(
-            mir::printer::print_module(&plain.module),
-            mir::printer::print_module(&traced.module)
-        );
-        assert!(!rec.spans().is_empty());
-        assert!(rec.spans().iter().all(|s| !s.stage.starts_with("plugin@")));
     }
 
     const CORRECT_PROGRAM: &str = r#"
@@ -1282,7 +1205,8 @@ mod tests {
                 for mech in [Mechanism::SoftBound, Mechanism::LowFat, Mechanism::RedZone] {
                     let cfg = MiConfig::new(mech);
                     let direct = compile(m.clone(), &cfg, opts);
-                    let split = compile_from_prefix(prefix.clone(), &cfg, opts);
+                    let split =
+                        compile_from_prefix_with_summaries(prefix.clone(), &cfg, opts, None);
                     assert_eq!(
                         mir::printer::print_module(&direct.module),
                         mir::printer::print_module(&split.module),

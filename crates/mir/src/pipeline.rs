@@ -13,8 +13,12 @@
 //!   before (hypothetical) vectorization; only cleanup runs afterwards.
 //!
 //! §5.5 of the paper shows the choice matters by roughly 30 % of overhead;
-//! the `bench` crate's `fig12`/`fig13` binaries reproduce that with this
-//! pipeline.
+//! `report --section fig12` / `--section fig13` in the `bench` crate
+//! reproduce that with this pipeline.
+//!
+//! Tracing is an argument, not a second API: [`Pipeline::run_to`] and
+//! [`Pipeline::resume_at`] take an `Option<&mut TraceRecorder>` and record
+//! one span per executed pass when it is `Some`.
 
 use crate::module::Module;
 use crate::passes::{
@@ -132,54 +136,27 @@ impl Pipeline {
 
     /// Runs the pipeline without any plugin (the uninstrumented baseline).
     pub fn run(&self, m: &mut Module) {
-        self.run_to(m, ExtensionPoint::VectorizerStart);
-        self.resume_at(m, ExtensionPoint::VectorizerStart, None);
-    }
-
-    /// Like [`Pipeline::run`], recording a span per executed pass in `rec`.
-    pub fn run_traced(&self, m: &mut Module, rec: &mut TraceRecorder) {
-        self.run_to_traced(m, ExtensionPoint::VectorizerStart, rec);
-        self.resume_at_traced(m, ExtensionPoint::VectorizerStart, None, rec);
+        self.run_to(m, ExtensionPoint::VectorizerStart, None);
+        self.resume_at(m, ExtensionPoint::VectorizerStart, None, None);
     }
 
     /// Runs the pipeline, inserting `plugin` at extension point `ep`.
     pub fn run_at(&self, m: &mut Module, ep: ExtensionPoint, plugin: &mut dyn ModulePass) {
-        self.run_to(m, ep);
-        self.resume_at(m, ep, Some(plugin));
-    }
-
-    /// Like [`Pipeline::run_at`], recording a span per executed pass
-    /// (including the plugin) in `rec`.
-    pub fn run_at_traced(
-        &self,
-        m: &mut Module,
-        ep: ExtensionPoint,
-        plugin: &mut dyn ModulePass,
-        rec: &mut TraceRecorder,
-    ) {
-        self.run_to_traced(m, ep, rec);
-        self.resume_at_traced(m, ep, Some(plugin), rec);
+        self.run_to(m, ep, None);
+        self.resume_at(m, ep, Some(plugin), None);
     }
 
     /// Runs every stage that precedes extension point `ep`, leaving `m` in
-    /// exactly the state a plugin inserted at `ep` would observe.
+    /// exactly the state a plugin inserted at `ep` would observe. With a
+    /// recorder, every executed pass leaves a span in it.
     ///
     /// The module at this point is a reusable *snapshot*: callers may clone
     /// it and complete compilation any number of times with
     /// [`Pipeline::resume_at`] under different plugins (or none). The
-    /// evaluation driver in the `bench` crate relies on this to compile the
+    /// artifact store in the `bench` crate relies on this to compile the
     /// shared pipeline prefix once per (program, opt level, extension
     /// point) instead of once per sweep cell.
-    pub fn run_to(&self, m: &mut Module, ep: ExtensionPoint) {
-        self.run_to_rec(m, ep, None);
-    }
-
-    /// Like [`Pipeline::run_to`], recording a span per executed pass.
-    pub fn run_to_traced(&self, m: &mut Module, ep: ExtensionPoint, rec: &mut TraceRecorder) {
-        self.run_to_rec(m, ep, Some(rec));
-    }
-
-    fn run_to_rec(&self, m: &mut Module, ep: ExtensionPoint, mut rec: Option<&mut TraceRecorder>) {
+    pub fn run_to(&self, m: &mut Module, ep: ExtensionPoint, mut rec: Option<&mut TraceRecorder>) {
         if self.opt == OptLevel::O0 {
             // No optimization: there is nothing before any extension point.
             return;
@@ -189,34 +166,15 @@ impl Pipeline {
         }
     }
 
-    /// Completes a pipeline previously advanced by `run_to(m, ep)`: fires
-    /// `plugin` at `ep` (if any), then runs the remaining stages.
+    /// Completes a pipeline previously advanced by `run_to(m, ep, _)`:
+    /// fires `plugin` at `ep` (if any), then runs the remaining stages.
+    /// With a recorder, every executed pass leaves a span in it — the
+    /// plugin under the stage label `plugin@<ep>`.
     ///
-    /// `run_to(m, ep)` followed by `resume_at(m, ep, p)` is exactly
+    /// `run_to(m, ep, _)` followed by `resume_at(m, ep, p, _)` is exactly
     /// equivalent to `run_at(m, ep, p)` (or to `run(m)` when `p` is
     /// `None`, for any `ep`).
     pub fn resume_at(
-        &self,
-        m: &mut Module,
-        ep: ExtensionPoint,
-        plugin: Option<&mut dyn ModulePass>,
-    ) {
-        self.resume_at_rec(m, ep, plugin, None);
-    }
-
-    /// Like [`Pipeline::resume_at`], recording a span per executed pass
-    /// (including the plugin, under the stage label `plugin@<ep>`).
-    pub fn resume_at_traced(
-        &self,
-        m: &mut Module,
-        ep: ExtensionPoint,
-        plugin: Option<&mut dyn ModulePass>,
-        rec: &mut TraceRecorder,
-    ) {
-        self.resume_at_rec(m, ep, plugin, Some(rec));
-    }
-
-    fn resume_at_rec(
         &self,
         m: &mut Module,
         ep: ExtensionPoint,
@@ -428,8 +386,8 @@ mod tests {
         for ep in ExtensionPoint::ALL {
             let mut m = sample_module();
             let p = Pipeline::default();
-            p.run_to(&mut m, ep);
-            p.resume_at(&mut m, ep, None);
+            p.run_to(&mut m, ep, None);
+            p.resume_at(&mut m, ep, None, None);
             assert_eq!(crate::printer::print_module(&m), want, "split at {}", ep.name());
         }
         // Same under O0 (both stages are no-ops without a plugin).
@@ -438,8 +396,8 @@ mod tests {
         let want = crate::printer::print_module(&reference);
         let mut m = sample_module();
         let p = Pipeline::new(OptLevel::O0);
-        p.run_to(&mut m, ExtensionPoint::ModuleOptimizerEarly);
-        p.resume_at(&mut m, ExtensionPoint::ModuleOptimizerEarly, None);
+        p.run_to(&mut m, ExtensionPoint::ModuleOptimizerEarly, None);
+        p.resume_at(&mut m, ExtensionPoint::ModuleOptimizerEarly, None, None);
         assert_eq!(crate::printer::print_module(&m), want);
     }
 
@@ -463,12 +421,12 @@ mod tests {
         for ep in ExtensionPoint::ALL {
             let p = Pipeline::default();
             let mut snapshot = sample_module();
-            p.run_to(&mut snapshot, ep);
+            p.run_to(&mut snapshot, ep, None);
 
             let mut plain = snapshot.clone();
-            p.resume_at(&mut plain, ep, None);
+            p.resume_at(&mut plain, ep, None, None);
             let mut with_plugin = snapshot.clone();
-            p.resume_at(&mut with_plugin, ep, Some(&mut AddNote));
+            p.resume_at(&mut with_plugin, ep, Some(&mut AddNote), None);
 
             let mut want_plain = sample_module();
             p.run(&mut want_plain);

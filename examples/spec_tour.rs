@@ -6,8 +6,7 @@
 //! cargo run --release --example spec_tour
 //! ```
 
-use meminstrument::runtime::BuildOptions;
-use meminstrument::{Mechanism, MiConfig};
+use meminstrument::{Instrument, Mechanism};
 use mir::pipeline::ExtensionPoint;
 
 fn main() {
@@ -16,13 +15,15 @@ fn main() {
         println!("== {name} ==");
         println!("{}\n", b.description.split_whitespace().collect::<Vec<_>>().join(" "));
 
-        let base = cbench::run_baseline(&b, BuildOptions::default()).unwrap();
-        let base_cost = base.exec.stats.cost_total;
-        println!("  baseline -O3: cost {base_cost}, output {:?}", base.exec.output);
+        let module = cfront::compile(b.source).expect("benchmark compiles");
+        let run = |cell: Instrument| cell.run(module.clone()).expect("benchmark runs");
+        let base = run(Instrument::baseline());
+        let base_cost = base.stats.cost_total;
+        println!("  baseline -O3: cost {base_cost}, output {:?}", base.output);
 
         for mech in [Mechanism::SoftBound, Mechanism::LowFat] {
-            let r = cbench::run(&b, &MiConfig::new(mech), BuildOptions::default()).unwrap();
-            let s = &r.exec.stats;
+            let r = run(Instrument::mechanism(mech));
+            let s = &r.stats;
             println!(
                 "  {:9}: {:.2}x slowdown | {} checks ({:.2}% wide) | {} metadata loads | {} invariant checks",
                 mech.name(),
@@ -37,13 +38,8 @@ fn main() {
         // The pipeline effect (§5.5) on this benchmark, SoftBound only.
         print!("  softbound by extension point:");
         for ep in ExtensionPoint::ALL {
-            let r = cbench::run(
-                &b,
-                &MiConfig::new(Mechanism::SoftBound),
-                BuildOptions { ep, ..BuildOptions::default() },
-            )
-            .unwrap();
-            print!(" {}={:.2}x", ep.name(), r.exec.stats.cost_total as f64 / base_cost as f64);
+            let r = run(Instrument::mechanism(Mechanism::SoftBound).at(ep));
+            print!(" {}={:.2}x", ep.name(), r.stats.cost_total as f64 / base_cost as f64);
         }
         println!("\n");
     }

@@ -22,10 +22,10 @@
 //! f.c:7"). CHECKTRAP lines may appear anywhere in the file; putting them
 //! at the end keeps the source line numbers the text asserts on stable.
 
-use meminstrument::runtime::{compile, compile_baseline, BuildOptions};
-use meminstrument::{Mechanism, MiConfig};
+mod common;
+
+use meminstrument::Instrument;
 use memvm::interp::Trap;
-use memvm::VmConfig;
 
 #[derive(Debug, PartialEq)]
 enum Expect {
@@ -71,19 +71,8 @@ fn parse_trap_expectations(src: &str) -> Vec<(String, String)> {
 
 #[test]
 fn corpus_verdicts() {
-    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "c"))
-        .collect();
-    paths.sort();
-    assert!(paths.len() >= 30, "corpus shrank to {}", paths.len());
-
     let mut failures = vec![];
-    for path in &paths {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let src = std::fs::read_to_string(path).unwrap();
+    for (name, src) in common::corpus() {
         let expectations = parse_expectations(&src);
         assert!(!expectations.is_empty(), "{name}: no CHECK lines");
         let module = match cfront::compile_named(&src, &name) {
@@ -93,19 +82,14 @@ fn corpus_verdicts() {
                 continue;
             }
         };
-        let run_config = |config: &str| match config {
-            "baseline" => compile_baseline(module.clone(), BuildOptions::default())
-                .run_main(VmConfig::default()),
-            mech => {
-                let mech = match mech {
-                    "softbound" => Mechanism::SoftBound,
-                    "lowfat" => Mechanism::LowFat,
-                    "redzone" => Mechanism::RedZone,
-                    other => panic!("{name}: unknown config {other}"),
-                };
-                compile(module.clone(), &MiConfig::new(mech), BuildOptions::default())
-                    .run_main(VmConfig::default())
-            }
+        let run_config = |config: &str| {
+            let cell = match config {
+                "baseline" => Instrument::baseline(),
+                mech => {
+                    Instrument::mechanism(mech.parse().unwrap_or_else(|e| panic!("{name}: {e}")))
+                }
+            };
+            cell.run(module.clone())
         };
         for (config, expect) in expectations {
             let result = run_config(&config);

@@ -19,6 +19,8 @@
 //! undefined behaviour has no single correct output across optimization
 //! levels.
 
+mod common;
+
 use bench::driver::{Driver, JobConfig, Program};
 use meminstrument::{Mechanism, OptConfig};
 use mir::pipeline::{ExtensionPoint, OptLevel};
@@ -36,30 +38,12 @@ fn differential_configs() -> Vec<JobConfig> {
     configs
 }
 
-/// A corpus program is "safe" iff no CHECK line expects a violation or a
-/// segfault under any configuration.
-fn is_safe(src: &str) -> bool {
-    !src.lines().any(|l| {
-        let l = l.trim();
-        l.starts_with("// CHECK ") && (l.contains("violation") || l.contains("segfault"))
-    })
-}
-
+/// The corpus with each program's safety (see [`common::is_safe`]).
 fn corpus() -> Vec<(Program, bool)> {
-    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "c"))
-        .collect();
-    paths.sort();
-    assert!(paths.len() >= 30, "corpus shrank to {}", paths.len());
-    paths
-        .iter()
-        .map(|p| {
-            let source = std::fs::read_to_string(p).unwrap();
-            let safe = is_safe(&source);
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+    common::corpus()
+        .into_iter()
+        .map(|(name, source)| {
+            let safe = common::is_safe(&source);
             (Program { name, source }, safe)
         })
         .collect()

@@ -15,6 +15,8 @@
 //! predicted trap must still fire through elision), and the pinned
 //! deterministic tie-breaking of the check-site profile.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -31,24 +33,7 @@ type ClaimMap = std::collections::BTreeMap<(String, Option<u32>, u64), Vec<((i64
 /// The memory-safe half of `tests/corpus/` (same CHECK-line convention as
 /// the differential suite).
 fn safe_corpus() -> Vec<(String, String)> {
-    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "c"))
-        .collect();
-    paths.sort();
-    paths
-        .iter()
-        .filter_map(|p| {
-            let source = std::fs::read_to_string(p).unwrap();
-            let unsafe_prog = source.lines().any(|l| {
-                let l = l.trim();
-                l.starts_with("// CHECK ") && (l.contains("violation") || l.contains("segfault"))
-            });
-            (!unsafe_prog).then(|| (p.file_name().unwrap().to_string_lossy().into_owned(), source))
-        })
-        .collect()
+    common::corpus().into_iter().filter(|(_, source)| common::is_safe(source)).collect()
 }
 
 /// Every elision proof must agree with the ground-truth bounds the
@@ -70,7 +55,7 @@ fn elision_proofs_hold_against_walker_bounds_log() {
         }
         let module = cfront::compile_named(&source, &name)
             .unwrap_or_else(|e| panic!("{name}: frontend error: {e}"));
-        let full = Instrument::mechanism(Mechanism::SoftBound).compile(module.clone());
+        let full = Instrument::mechanism(Mechanism::SoftBound).compile(module.clone(), None);
         if full.elisions.is_empty() {
             continue;
         }
@@ -90,8 +75,9 @@ fn elision_proofs_hold_against_walker_bounds_log() {
             continue;
         }
 
-        let noipo =
-            Instrument::mechanism(Mechanism::SoftBound).opt(OptConfig::no_ipo()).compile(module);
+        let noipo = Instrument::mechanism(Mechanism::SoftBound)
+            .opt(OptConfig::no_ipo())
+            .compile(module, None);
         let log: SbAccessLog = Rc::new(RefCell::new(Vec::new()));
         let mut vm = noipo
             .make_vm_sb_logged(

@@ -8,28 +8,13 @@
 //! whole corpus, and pin the exact-reconciliation contract: every number
 //! in the metrics export is derivable from `VmStats`, never sampled.
 
+mod common;
+
 use bench::driver::{fig9_configs, paper_sweep_configs, Driver, Program, Report};
 use meminstrument::{Instrument, Mechanism};
 use memvm::{VmBackend, VmConfig};
 
-/// Every `tests/corpus/*.c` file as a driver program, sorted by name.
-fn corpus_programs() -> Vec<Program> {
-    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "c"))
-        .collect();
-    paths.sort();
-    assert!(paths.len() >= 30, "corpus shrank to {}", paths.len());
-    paths
-        .iter()
-        .map(|p| Program {
-            name: p.file_name().unwrap().to_string_lossy().into_owned(),
-            source: std::fs::read_to_string(p).unwrap(),
-        })
-        .collect()
-}
+use common::corpus_programs;
 
 fn sweep(jobs: usize, backend: VmBackend, interval: u64) -> Report {
     Driver::new(corpus_programs(), fig9_configs())
@@ -73,7 +58,7 @@ fn flame_frames_resolve_to_module_functions() {
     for p in corpus_programs() {
         let module = cfront::compile_named(&p.source, &p.name)
             .unwrap_or_else(|e| panic!("{}: frontend error: {e}", p.name));
-        let prog = Instrument::mechanism(Mechanism::SoftBound).compile(module);
+        let prog = Instrument::mechanism(Mechanism::SoftBound).compile(module, None);
         let mut known: std::collections::BTreeSet<String> =
             prog.module.functions.iter().map(|f| f.name.clone()).collect();
         let mut vm = prog

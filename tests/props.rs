@@ -7,6 +7,8 @@
 //! from fixed seeds, so failures are reproducible by construction
 //! (re-running the test replays the exact same inputs).
 
+mod common;
+
 use meminstrument::runtime::{compile, compile_baseline, BuildOptions};
 use meminstrument::{Mechanism, MiConfig};
 use memvm::VmConfig;
@@ -550,18 +552,8 @@ fn check_site_ref(kind: &mir::InstrKind) -> Option<(Option<i64>, &'static [mir::
 /// no dangling and no stale IDs.
 #[test]
 fn corpus_srclocs_and_site_ids_survive_the_pipeline() {
-    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "c"))
-        .collect();
-    paths.sort();
-
     let mut failures = vec![];
-    for path in &paths {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let src = std::fs::read_to_string(path).unwrap();
+    for (name, src) in common::corpus() {
         let Ok(frontend) = cfront::compile_named(&src, &name) else { continue };
         let frontend_lines = loc_lines(&frontend);
         if frontend_lines.is_empty() {
@@ -635,17 +627,8 @@ fn corpus_srclocs_and_site_ids_survive_the_pipeline() {
 /// compiled module.
 fn for_each_corpus_bytecode(mut f: impl FnMut(&str, &str, &std::rc::Rc<memvm::BcModule>)) {
     use memvm::VmBackend;
-    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "c"))
-        .collect();
-    paths.sort();
     let vm_config = VmConfig { backend: VmBackend::Bytecode, ..VmConfig::default() };
-    for path in &paths {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let src = std::fs::read_to_string(path).unwrap();
+    for (name, src) in common::corpus() {
         let Ok(module) = cfront::compile_named(&src, &name) else { continue };
         let mut builds = vec![(
             "baseline".to_string(),
@@ -733,10 +716,12 @@ fn bytecode_check_opcodes_cite_real_sites() {
 #[test]
 fn cost_categories_sum_to_total() {
     for name in ["186crafty", "183equake", "197parser"] {
-        let b = cbench::by_name(name).unwrap();
+        let module = cfront::compile(cbench::by_name(name).unwrap().source).unwrap();
         for mech in [Mechanism::SoftBound, Mechanism::LowFat, Mechanism::RedZone] {
-            let out = cbench::run(&b, &MiConfig::new(mech), BuildOptions::default()).unwrap();
-            let s = &out.exec.stats;
+            let out = compile(module.clone(), &MiConfig::new(mech), BuildOptions::default())
+                .run_main(VmConfig::default())
+                .unwrap();
+            let s = &out.stats;
             assert_eq!(
                 s.cost_total,
                 s.cost_app + s.cost_checks + s.cost_metadata + s.cost_allocator + s.cost_other,

@@ -2,14 +2,11 @@
 //! demonstration: a third instrumentation hosted on the shared framework,
 //! with the weaker guarantees §2.1 of the paper attributes to this class.
 
-use meminstrument::runtime::{compile, compile_baseline, BuildOptions};
-use meminstrument::{Mechanism, MiConfig};
+use meminstrument::{Instrument, Mechanism};
 use memvm::interp::Trap;
-use memvm::VmConfig;
 
 fn run(src: &str, mech: Mechanism) -> Result<memvm::interp::ExecOutcome, Trap> {
-    let module = cfront::compile(src).unwrap();
-    compile(module, &MiConfig::new(mech), BuildOptions::default()).run_main(VmConfig::default())
+    Instrument::mechanism(mech).run(cfront::compile(src).unwrap())
 }
 
 #[test]
@@ -29,9 +26,7 @@ fn correct_program_unaffected() {
         }
     "#;
     let module = cfront::compile(src).unwrap();
-    let base = compile_baseline(module.clone(), BuildOptions::default())
-        .run_main(VmConfig::default())
-        .unwrap();
+    let base = Instrument::baseline().run(module.clone()).unwrap();
     let rz = run(src, Mechanism::RedZone).unwrap();
     assert_eq!(rz.ret, base.ret);
     assert!(rz.stats.checks_executed > 0);
@@ -144,16 +139,10 @@ fn overhead_is_below_the_paper_mechanisms() {
     // with weaker guarantees; with no metadata propagation at all, the
     // red-zone build must never be the most expensive of the three.
     for name in ["186crafty", "183equake", "197parser"] {
-        let b = cbench::by_name(name).unwrap();
-        let base = cbench::run_baseline(&b, BuildOptions::default()).unwrap();
-        let cost = |mech| {
-            cbench::run(&b, &MiConfig::new(mech), BuildOptions::default())
-                .unwrap()
-                .exec
-                .stats
-                .cost_total as f64
-                / base.exec.stats.cost_total as f64
-        };
+        let module = cfront::compile(cbench::by_name(name).unwrap().source).unwrap();
+        let run = |cell: Instrument| cell.run(module.clone()).unwrap().stats.cost_total as f64;
+        let base = run(Instrument::baseline());
+        let cost = |mech| run(Instrument::mechanism(mech)) / base;
         let rz = cost(Mechanism::RedZone);
         let sb = cost(Mechanism::SoftBound);
         let lf = cost(Mechanism::LowFat);
@@ -164,9 +153,11 @@ fn overhead_is_below_the_paper_mechanisms() {
 #[test]
 fn all_benchmarks_run_under_redzone() {
     for b in cbench::all() {
-        let base = cbench::run_baseline(&b, BuildOptions::default()).unwrap();
-        let rz = cbench::run(&b, &MiConfig::new(Mechanism::RedZone), BuildOptions::default())
+        let module = cfront::compile(b.source).unwrap();
+        let base = Instrument::baseline().run(module.clone()).unwrap();
+        let rz = Instrument::mechanism(Mechanism::RedZone)
+            .run(module)
             .unwrap_or_else(|t| panic!("{}: {t}", b.name));
-        assert_eq!(rz.exec.output, base.exec.output, "{}", b.name);
+        assert_eq!(rz.output, base.output, "{}", b.name);
     }
 }

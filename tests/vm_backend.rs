@@ -10,25 +10,12 @@
 //! [`memvm::SiteProfile`]s, and trap reports including their
 //! ASan-style source provenance.
 
-use bench::driver::{paper_sweep_configs, Driver, Program, Report};
+mod common;
+
+use bench::driver::{paper_sweep_configs, Driver, Report};
 use memvm::{VmBackend, VmConfig};
 
-fn corpus_programs() -> Vec<Program> {
-    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("corpus directory")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "c"))
-        .collect();
-    paths.sort();
-    paths
-        .iter()
-        .map(|p| Program {
-            name: p.file_name().unwrap().to_string_lossy().into_owned(),
-            source: std::fs::read_to_string(p).unwrap(),
-        })
-        .collect()
-}
+use common::corpus_programs;
 
 fn sweep(backend: VmBackend) -> Report {
     Driver::new(corpus_programs(), paper_sweep_configs())
