@@ -30,7 +30,6 @@
 //! preconditions this relies on.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -39,10 +38,10 @@ use meminstrument::{InstrStats, Instrument, Mechanism, MiMode, OptConfig};
 use memvm::{MemCounters, OpMetrics, SiteProfile, VmConfig, VmStats};
 use mir::pipeline::ExtensionPoint;
 use mir::trace::TraceRecorder;
+use telemetry::json::{self, arr, obj, Json};
 use telemetry::{FoldedStacks, Registry};
 
 use crate::job::{job_matrix, program_hash, run_job, JobCtl, JobError, JobOutcome, JobTraces};
-use crate::json::{json_str, json_str_array};
 use crate::store::ArtifactStore;
 
 /// A program to evaluate: a name plus its mini-C source.
@@ -291,10 +290,10 @@ impl Report {
     /// `trace_event` JSON document (viewable in Perfetto), one thread
     /// track per prefix/cell. Byte-identical regardless of worker count:
     /// track order is the matrix order and span timestamps are logical
-    /// (see [`mir::trace`]). Empty `traceEvents` if the sweep ran without
+    /// (see [`chrome_trace`]). Empty `traceEvents` if the sweep ran without
     /// [`Driver::with_trace`].
     pub fn trace_json(&self) -> String {
-        mir::trace::chrome_trace_document(&self.traces)
+        chrome_trace(&self.traces)
     }
 
     /// The merged sweep flamegraph: every completed cell's folded stacks
@@ -418,120 +417,162 @@ impl Report {
     /// matrix are byte-identical regardless of worker count — unless
     /// `include_timings` adds the (run-dependent) wall-clock section.
     pub fn to_json(&self, include_timings: bool) -> String {
-        let mut out = String::with_capacity(64 * 1024);
-        out.push_str("{\n  \"schema\": \"evald-report/2\",\n");
-        let _ = writeln!(out, "  \"programs\": {},", json_str_array(&self.programs));
-        let _ = writeln!(out, "  \"configs\": {},", json_str_array(&self.configs));
         let c = &self.cache;
-        let _ = writeln!(
-            out,
-            "  \"cache\": {{\"frontend_compiles\": {}, \"frontend_reuses\": {}, \"prefix_compiles\": {}, \"prefix_reuses\": {}}},",
-            c.frontend_compiles, c.frontend_reuses, c.prefix_compiles, c.prefix_reuses
-        );
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&cell_json(
-                &cell.program,
-                &cell.config,
-                &cell.outcome,
-                include_timings.then_some(&cell.timing),
-            ));
-            out.push_str(if i + 1 == self.cells.len() { "\n" } else { ",\n" });
-        }
-        out.push_str("  ]");
+        let cells = self.cells.iter().map(|cell| {
+            let timing = include_timings.then_some(&cell.timing);
+            cell_json(&cell.program, &cell.config, &cell.outcome, timing)
+        });
+        let mut doc = vec![
+            ("schema", "evald-report/2".into()),
+            ("programs", arr(&self.programs)),
+            ("configs", arr(&self.configs)),
+            (
+                "cache",
+                obj([
+                    ("frontend_compiles", c.frontend_compiles.into()),
+                    ("frontend_reuses", c.frontend_reuses.into()),
+                    ("prefix_compiles", c.prefix_compiles.into()),
+                    ("prefix_reuses", c.prefix_reuses.into()),
+                ]),
+            ),
+            ("cells", arr(cells)),
+        ];
         if include_timings {
             let t = &self.timings;
-            let _ = write!(
-                out,
-                ",\n  \"timings\": {{\"jobs\": {}, \"wall_us\": {}, \"stage_us\": {{\"frontend\": {}, \"pipeline\": {}, \"instrumentation\": {}, \"vm_compile\": {}, \"execution\": {}}}}}",
-                t.jobs,
-                t.wall.as_micros(),
-                t.frontend.as_micros(),
-                t.pipeline.as_micros(),
-                t.instrumentation.as_micros(),
-                t.vm_compile.as_micros(),
-                t.execution.as_micros()
-            );
+            let stages = [t.frontend, t.pipeline, t.instrumentation, t.vm_compile, t.execution];
+            doc.push((
+                "timings",
+                obj([
+                    ("jobs", t.jobs.into()),
+                    ("wall_us", t.wall.as_micros().into()),
+                    ("stage_us", stage_us(stages)),
+                ]),
+            ));
         }
-        out.push_str("\n}\n");
-        out
+        obj(doc).render(json::EVALD_REPORT)
     }
 }
 
-/// Renders the `"static"` instrumentation-statistics object of a report
-/// cell. Shared with [`crate::job::JobOutcome::result_json`] so compile
-/// jobs report exactly the block a sweep cell would.
-pub fn static_json(st: &InstrStats) -> String {
-    format!(
-        "{{\"checks_discovered\": {}, \"checks_eliminated\": {}, \"checks_hoisted\": {}, \"checks_widened\": {}, \"checks_elided_ipo\": {}, \"checks_placed\": {}, \"invariants_placed\": {}, \"metadata_loads_placed\": {}, \"metadata_stores_placed\": {}, \"allocas_replaced\": {}, \"globals_mirrored\": {}, \"functions_instrumented\": {}, \"functions_skipped\": {}, \"checks_narrowed\": {}, \"summaries_computed\": {}}}",
-        st.checks_discovered, st.checks_eliminated, st.checks_hoisted,
-        st.checks_widened, st.checks_elided_ipo, st.checks_placed,
-        st.invariants_placed, st.metadata_loads_placed, st.metadata_stores_placed,
-        st.allocas_replaced, st.globals_mirrored, st.functions_instrumented,
-        st.functions_skipped, st.checks_narrowed, st.summaries_computed
-    )
+/// The `"static"` instrumentation-statistics object of a report cell.
+/// Shared with [`crate::job::JobOutcome::result_json`] so compile jobs
+/// report exactly the block a sweep cell would.
+pub fn static_json(st: &InstrStats) -> Json {
+    obj([
+        ("checks_discovered", st.checks_discovered.into()),
+        ("checks_eliminated", st.checks_eliminated.into()),
+        ("checks_hoisted", st.checks_hoisted.into()),
+        ("checks_widened", st.checks_widened.into()),
+        ("checks_elided_ipo", st.checks_elided_ipo.into()),
+        ("checks_placed", st.checks_placed.into()),
+        ("invariants_placed", st.invariants_placed.into()),
+        ("metadata_loads_placed", st.metadata_loads_placed.into()),
+        ("metadata_stores_placed", st.metadata_stores_placed.into()),
+        ("allocas_replaced", st.allocas_replaced.into()),
+        ("globals_mirrored", st.globals_mirrored.into()),
+        ("functions_instrumented", st.functions_instrumented.into()),
+        ("functions_skipped", st.functions_skipped.into()),
+        ("checks_narrowed", st.checks_narrowed.into()),
+        ("summaries_computed", st.summaries_computed.into()),
+    ])
 }
 
-/// Renders one report cell as a single-line JSON object — the exact bytes
-/// [`Report::to_json`] emits per cell (minus indentation and the list
-/// comma). This is the byte-identity contract of the `mi serve` daemon:
-/// its run-job responses carry precisely this rendering, so a served
-/// result can be diffed against an in-process sweep byte for byte.
+/// One report cell: the value [`Report::to_json`] renders per row. This is
+/// the byte-identity contract of the `mi serve` daemon: its run-job
+/// responses carry this value rendered in [`json::REPORT_CELL`], exactly
+/// the bytes of the cell's row, so a served result can be diffed against
+/// an in-process sweep byte for byte.
 pub fn cell_json(
     program: &str,
     config: &str,
     outcome: &Result<CellOk, CellTrap>,
     timing: Option<&CellTiming>,
-) -> String {
-    let mut out = String::with_capacity(512);
-    let _ = write!(out, "{{\"program\": {}, \"config\": {}", json_str(program), json_str(config));
+) -> Json {
+    let mut m = vec![("program", program.into()), ("config", config.into())];
     match outcome {
         Ok(ok) => {
-            out.push_str(", \"ok\": true");
-            match ok.ret {
-                Some(r) => {
-                    let _ = write!(out, ", \"ret\": {r}");
-                }
-                None => out.push_str(", \"ret\": null"),
-            }
-            let _ = write!(out, ", \"output\": {}", json_str_array(&ok.output));
             let s = &ok.stats;
-            let _ = write!(
-                out,
-                ", \"cost\": {}, \"cost_app\": {}, \"cost_checks\": {}, \"cost_metadata\": {}, \"cost_allocator\": {}, \"cost_other\": {}",
-                s.cost_total, s.cost_app, s.cost_checks, s.cost_metadata, s.cost_allocator, s.cost_other
-            );
-            let _ = write!(
-                out,
-                ", \"instrs_executed\": {}, \"checks_executed\": {}, \"checks_wide\": {}, \"invariant_checks\": {}, \"metadata_loads\": {}, \"metadata_stores\": {}, \"mapped_bytes\": {}",
-                s.instrs_executed, s.checks_executed, s.checks_wide,
-                s.invariant_checks_executed, s.metadata_loads, s.metadata_stores, s.mapped_bytes
-            );
-            let _ = write!(out, ", \"static\": {}", static_json(&ok.instr));
+            m.extend([
+                ("ok", true.into()),
+                ("ret", ok.ret.into()),
+                ("output", arr(&ok.output)),
+                ("cost", s.cost_total.into()),
+                ("cost_app", s.cost_app.into()),
+                ("cost_checks", s.cost_checks.into()),
+                ("cost_metadata", s.cost_metadata.into()),
+                ("cost_allocator", s.cost_allocator.into()),
+                ("cost_other", s.cost_other.into()),
+                ("instrs_executed", s.instrs_executed.into()),
+                ("checks_executed", s.checks_executed.into()),
+                ("checks_wide", s.checks_wide.into()),
+                ("invariant_checks", s.invariant_checks_executed.into()),
+                ("metadata_loads", s.metadata_loads.into()),
+                ("metadata_stores", s.metadata_stores.into()),
+                ("mapped_bytes", s.mapped_bytes.into()),
+                ("static", static_json(&ok.instr)),
+            ]);
         }
-        Err(t) => {
-            let _ = write!(
-                out,
-                ", \"ok\": false, \"trap_kind\": {}, \"trap\": {}",
-                json_str(t.kind.name()),
-                json_str(&t.message)
-            );
-        }
+        Err(t) => m.extend([
+            ("ok", false.into()),
+            ("trap_kind", t.kind.name().into()),
+            ("trap", (&t.message).into()),
+        ]),
     }
     if let Some(t) = timing {
-        let _ = write!(
-            out,
-            ", \"timing_us\": {{\"frontend\": {}, \"pipeline\": {}, \"instrumentation\": {}, \"vm_compile\": {}, \"execution\": {}}}",
-            t.frontend.as_micros(),
-            t.pipeline.as_micros(),
-            t.instrumentation.as_micros(),
-            t.vm_compile.as_micros(),
-            t.execution.as_micros()
-        );
+        let stages = [t.frontend, t.pipeline, t.instrumentation, t.vm_compile, t.execution];
+        m.push(("timing_us", stage_us(stages)));
     }
-    out.push('}');
-    out
+    obj(m)
+}
+
+/// Per-stage wall-clock in microseconds, in the stages' report order.
+fn stage_us(durations: [Duration; 5]) -> Json {
+    let stages = ["frontend", "pipeline", "instrumentation", "vm_compile", "execution"];
+    obj(stages.into_iter().zip(durations).map(|(k, d)| (k, d.as_micros().into())))
+}
+
+/// Renders named pass-pipeline traces as one Chrome `trace_event` document
+/// (viewable in Perfetto), one thread track per trace in the given order,
+/// each pass a complete event (`"ph":"X"`). Timestamps and durations are
+/// the spans' logical units ([`mir::trace::PassSpan::logical_dur`]), never
+/// wall clock, so the bytes depend only on the traced work; callers wanting
+/// byte-stable output across parallel runs order the tracks themselves.
+pub fn chrome_trace(tracks: &[(String, TraceRecorder)]) -> String {
+    let mut events = Vec::new();
+    for (tid, (label, rec)) in (1u64..).zip(tracks) {
+        events.push(obj([
+            ("name", "thread_name".into()),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            ("args", obj([("name", label.into())])),
+        ]));
+        let mut ts = 0;
+        for s in rec.spans() {
+            let dur = s.logical_dur();
+            events.push(obj([
+                ("name", (&s.name).into()),
+                ("cat", (&s.stage).into()),
+                ("ph", "X".into()),
+                ("ts", ts.into()),
+                ("dur", dur.into()),
+                ("pid", 1u64.into()),
+                ("tid", tid.into()),
+                (
+                    "args",
+                    obj([
+                        ("instrs_before", s.instrs_before.into()),
+                        ("instrs_after", s.instrs_after.into()),
+                        ("blocks_before", s.blocks_before.into()),
+                        ("blocks_after", s.blocks_after.into()),
+                        ("changed", s.changed.into()),
+                    ]),
+                ),
+            ]));
+            ts += dur;
+        }
+    }
+    obj([("displayTimeUnit", "ms".into()), ("traceEvents", Json::Arr(events))])
+        .render(json::CHROME_TRACE)
 }
 
 /// The evaluation driver: a job matrix plus execution settings.
@@ -947,6 +988,26 @@ mod tests {
         let plain = Driver::new(tiny_programs(), fig9_configs()).with_jobs(2).run();
         assert!(plain.traces.is_empty());
         assert_eq!(plain.to_json(false), r1.to_json(false));
+    }
+
+    #[test]
+    fn chrome_trace_times_are_logical() {
+        let record = || {
+            let mut m = cfront::compile_named("long main(void) { return 1 + 2; }", "t.c").unwrap();
+            let mut rec = TraceRecorder::new();
+            rec.record_pass("s", "a", &mut m, |_| false);
+            rec.record_pass("s", "b", &mut m, |_| true);
+            rec
+        };
+        let rec = record();
+        let doc = chrome_trace(&[("t".to_string(), rec.clone())]);
+        // Each span starts where the previous one ended, in logical units.
+        let [a, b] = [0, 1].map(|i| rec.spans()[i].logical_dur());
+        assert!(doc.contains(&format!("\"ts\":0,\"dur\":{a},")), "{doc}");
+        assert!(doc.contains(&format!("\"ts\":{a},\"dur\":{b},")), "{doc}");
+        // Wall clock differs between recordings; the rendering does not.
+        assert_eq!(doc, chrome_trace(&[("t".to_string(), record())]));
+        assert!(!doc.contains("wall"));
     }
 
     #[test]

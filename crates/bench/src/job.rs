@@ -25,9 +25,9 @@ use meminstrument::{InstrStats, Instrument};
 use memvm::{BcImage, Trap, VmBackend, VmConfig};
 use mir::pipeline::Pipeline;
 use mir::trace::TraceRecorder;
+use telemetry::json::{self, arr, obj, Json};
 
 use crate::driver::{cell_json, static_json, CellOk, CellTiming, CellTrap, Program};
-use crate::json::{json_str, Json};
 use crate::store::ArtifactStore;
 
 /// Where a job's source text comes from.
@@ -128,33 +128,26 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The wire encoding (one line, frozen field order — `mi-serve/1`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"source\":{\"kind\":");
-        match &self.source {
+    /// The wire encoding (frozen field order — `mi-serve/1`, rendered in
+    /// [`json::MI_SERVE`]).
+    pub fn to_json(&self) -> Json {
+        let source = match &self.source {
             SourceRef::Benchmark { name } => {
-                out.push_str("\"benchmark\",\"name\":");
-                out.push_str(&json_str(name));
+                obj([("kind", "benchmark".into()), ("name", name.into())])
             }
             SourceRef::Inline { name, text } => {
-                out.push_str("\"inline\",\"name\":");
-                out.push_str(&json_str(name));
-                out.push_str(",\"text\":");
-                out.push_str(&json_str(text));
+                obj([("kind", "inline".into()), ("name", name.into()), ("text", text.into())])
             }
-        }
-        out.push_str("},\"config\":");
-        out.push_str(&json_str(&self.config.to_string()));
-        out.push_str(",\"action\":");
+        };
+        let mut m = vec![("source", source), ("config", self.config.to_string().into())];
         match self.action {
-            JobAction::Compile => out.push_str("\"compile\"}"),
-            JobAction::Run => out.push_str("\"run\"}"),
+            JobAction::Compile => m.push(("action", "compile".into())),
+            JobAction::Run => m.push(("action", "run".into())),
             JobAction::Profile { top } => {
-                out.push_str(&format!("\"profile\",\"top\":{top}}}"));
+                m.extend([("action", "profile".into()), ("top", top.into())]);
             }
         }
-        out
+        obj(m)
     }
 
     /// Decodes the wire encoding.
@@ -238,20 +231,23 @@ pub enum JobError {
 }
 
 impl JobError {
-    /// The wire encoding (`{"kind": ...}`, frozen).
-    pub fn to_json(&self) -> String {
+    /// The wire encoding (`{"kind": ...}`, frozen). A trap's report is
+    /// embedded verbatim.
+    pub fn to_json(&self) -> Json {
         match self {
-            JobError::Timeout => "{\"kind\":\"timeout\"}".to_string(),
-            JobError::Cancelled => "{\"kind\":\"cancelled\"}".to_string(),
+            JobError::Timeout => obj([("kind", "timeout".into())]),
+            JobError::Cancelled => obj([("kind", "cancelled".into())]),
             JobError::Rejected { reason } => {
-                format!("{{\"kind\":\"rejected\",\"reason\":{}}}", json_str(reason))
+                obj([("kind", "rejected".into()), ("reason", reason.into())])
             }
-            JobError::Trap { report } => format!("{{\"kind\":\"trap\",\"report\":{report}}}"),
+            JobError::Trap { report } => {
+                obj([("kind", "trap".into()), ("report", Json::Raw(report.clone()))])
+            }
         }
     }
 
-    /// Decodes the wire encoding. A `trap` report is kept as its raw
-    /// re-rendering (clients treating it as opaque JSON).
+    /// Decodes the wire encoding. A `trap` report, always a report cell, is
+    /// rendered back in [`json::REPORT_CELL`]: the bytes the daemon sent.
     ///
     /// # Errors
     ///
@@ -268,7 +264,10 @@ impl JobError {
                     .to_string(),
             }),
             Some("trap") => Ok(JobError::Trap {
-                report: v.get("report").ok_or("trap error missing \"report\"")?.render(),
+                report: v
+                    .get("report")
+                    .ok_or("trap error missing \"report\"")?
+                    .render(json::REPORT_CELL),
             }),
             other => Err(format!("bad error kind {other:?}")),
         }
@@ -314,20 +313,19 @@ impl JobOutcome {
     /// The `result` payload of an `mi-serve/1` response. For [`Self::Cell`]
     /// this is exactly the driver's cell JSON — the byte-identity contract.
     pub fn result_json(&self) -> String {
-        match self {
-            JobOutcome::Compiled { program, config, instr } => format!(
-                "{{\"program\": {}, \"config\": {}, \"compiled\": true, \"static\": {}}}",
-                json_str(program),
-                json_str(config),
-                static_json(instr)
-            ),
+        let result = match self {
+            JobOutcome::Compiled { program, config, instr } => obj([
+                ("program", program.into()),
+                ("config", config.into()),
+                ("compiled", true.into()),
+                ("static", static_json(instr)),
+            ]),
             JobOutcome::Cell { program, config, outcome, .. } => {
                 cell_json(program, config, outcome, None)
             }
-            JobOutcome::Profile { document } => {
-                format!("{{\"profile\": {}}}", json_str(document))
-            }
-        }
+            JobOutcome::Profile { document } => obj([("profile", document.into())]),
+        };
+        result.render(json::REPORT_CELL)
     }
 }
 
@@ -546,7 +544,8 @@ pub fn run_job(
                 document: profile_report(&prog, &ok.profile, &ok.stats, &program.name, &label, top),
             }),
             Err(t) => {
-                Err(JobError::Trap { report: cell_json(&program.name, &label, &Err(t), None) })
+                let report = cell_json(&program.name, &label, &Err(t), None);
+                Err(JobError::Trap { report: report.render(json::REPORT_CELL) })
             }
         },
         JobAction::Compile => unreachable!("handled above"),
@@ -598,46 +597,41 @@ pub fn profile_report(
     let (sites_hit, ranked) = rank_sites(profile, s, sites.len(), top);
     let (hits, wide, cost) = (profile.total_hits(), profile.total_wide(), profile.total_cost());
 
-    let file_label = src_file.as_deref().unwrap_or(file_fallback);
-    let mut j = String::new();
-    j.push_str("{\n  \"schema\": \"mi-profile/1\",\n");
-    j.push_str(&format!("  \"file\": {},\n", json_str(file_label)));
-    j.push_str(&format!("  \"config\": {},\n", json_str(config_label)));
-    j.push_str(&format!("  \"sites_registered\": {},\n", sites.len()));
-    j.push_str(&format!("  \"sites_hit\": {sites_hit},\n"));
-    j.push_str(&format!(
-        "  \"totals\": {{\"hits\": {hits}, \"wide\": {wide}, \"cost\": {cost}}},\n"
-    ));
-    j.push_str(&format!(
-        "  \"vm\": {{\"checks_executed\": {}, \"invariant_checks\": {}, \"checks_wide\": {}, \"cost_checks\": {}}},\n",
-        s.checks_executed, s.invariant_checks_executed, s.checks_wide, s.cost_checks
-    ));
-    j.push_str("  \"sites\": [\n");
-    for (i, (site, c)) in ranked.iter().enumerate() {
+    let rows = ranked.iter().enumerate().map(|(i, (site, c))| {
         let cs = &sites[*site];
-        let line = match cs.line {
-            Some(l) => l.to_string(),
-            None => "null".to_string(),
-        };
-        let alloc = match cs.describe_alloc(src_file.as_deref()) {
-            Some(a) => json_str(&a),
-            None => "null".to_string(),
-        };
-        j.push_str(&format!(
-            "    {{\"rank\": {}, \"site\": {site}, \"kind\": {}, \"func\": {}, \"line\": {line}, \"source\": {}, \"access\": {}, \"alloc\": {alloc}, \"hits\": {}, \"wide\": {}, \"cost\": {}}}{}\n",
-            i + 1,
-            json_str(cs.kind.keyword()),
-            json_str(&cs.func),
-            json_str(&cs.source(src_file.as_deref())),
-            json_str(&cs.access_kind()),
-            c.hits,
-            c.wide,
-            c.cost,
-            if i + 1 == ranked.len() { "" } else { "," }
-        ));
-    }
-    j.push_str("  ]\n}\n");
-    j
+        obj([
+            ("rank", (i + 1).into()),
+            ("site", (*site).into()),
+            ("kind", cs.kind.keyword().into()),
+            ("func", (&cs.func).into()),
+            ("line", cs.line.map(u64::from).into()),
+            ("source", cs.source(src_file.as_deref()).into()),
+            ("access", cs.access_kind().into()),
+            ("alloc", cs.describe_alloc(src_file.as_deref()).into()),
+            ("hits", c.hits.into()),
+            ("wide", c.wide.into()),
+            ("cost", c.cost.into()),
+        ])
+    });
+    obj([
+        ("schema", "mi-profile/1".into()),
+        ("file", src_file.as_deref().unwrap_or(file_fallback).into()),
+        ("config", config_label.into()),
+        ("sites_registered", sites.len().into()),
+        ("sites_hit", sites_hit.into()),
+        ("totals", obj([("hits", hits.into()), ("wide", wide.into()), ("cost", cost.into())])),
+        (
+            "vm",
+            obj([
+                ("checks_executed", s.checks_executed.into()),
+                ("invariant_checks", s.invariant_checks_executed.into()),
+                ("checks_wide", s.checks_wide.into()),
+                ("cost_checks", s.cost_checks.into()),
+            ]),
+        ),
+        ("sites", arr(rows)),
+    ])
+    .render(json::MI_PROFILE)
 }
 
 #[cfg(test)]
@@ -672,12 +666,12 @@ mod tests {
     #[test]
     fn spec_json_round_trips() {
         for spec in specs() {
-            let line = spec.to_json();
+            let line = spec.to_json().render(json::MI_SERVE);
             let v = Json::parse(&line).unwrap();
             let back = JobSpec::from_json(&v).unwrap();
             assert_eq!(back, spec, "{line}");
             // Encoding is stable under a decode/encode cycle.
-            assert_eq!(back.to_json(), line);
+            assert_eq!(back.to_json().render(json::MI_SERVE), line);
         }
     }
 
@@ -687,10 +681,10 @@ mod tests {
             JobError::Timeout,
             JobError::Cancelled,
             JobError::Rejected { reason: "queue full (cap 64)".into() },
-            JobError::Trap { report: "{\"ok\":false,\"trap\":\"x\"}".to_string() },
+            JobError::Trap { report: "{\"ok\": false, \"trap\": \"x\"}".to_string() },
         ];
         for e in errs {
-            let v = Json::parse(&e.to_json()).unwrap();
+            let v = Json::parse(&e.to_json().render(json::MI_SERVE)).unwrap();
             assert_eq!(JobError::from_json(&v).unwrap(), e);
         }
     }
@@ -777,7 +771,8 @@ mod tests {
         ] {
             let flagged = plain.clone().configure(flag);
             let spec = JobSpec { source: source.clone(), config: flagged, action: JobAction::Run };
-            let back = JobSpec::from_json(&Json::parse(&spec.to_json()).unwrap()).unwrap();
+            let line = spec.to_json().render(json::MI_SERVE);
+            let back = JobSpec::from_json(&Json::parse(&line).unwrap()).unwrap();
             assert_eq!(back, spec, "the flag must survive the wire");
         }
         assert!(run(&plain).is_ok());

@@ -28,8 +28,10 @@
 
 pub mod driver;
 pub mod job;
-pub mod json;
 pub mod store;
+
+// `perfbench` imports the JSON layer from this path.
+pub use telemetry::json;
 
 use driver::CellOk;
 

@@ -282,14 +282,13 @@ fn cmd_run(module: mir::Module, o: &Options) -> ExitCode {
         Some(trace_path) => {
             let mut rec = TraceRecorder::new();
             let prog = o.cell.compile(module, Some(&mut rec));
-            if let Err(e) = std::fs::write(trace_path, rec.to_chrome_trace()) {
+            let spans = rec.spans().len();
+            let doc = bench::driver::chrome_trace(&[("pipeline".to_string(), rec)]);
+            if let Err(e) = std::fs::write(trace_path, doc) {
                 eprintln!("error: {trace_path}: {e}");
                 return ExitCode::FAILURE;
             }
-            eprintln!(
-                "[mi] pipeline trace ({} pass spans) written to {trace_path}",
-                rec.spans().len()
-            );
+            eprintln!("[mi] pipeline trace ({spans} pass spans) written to {trace_path}");
             prog
         }
     };
@@ -958,7 +957,7 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
 /// and the stderr summary numbers match local `mi run` (the daemon's cell
 /// JSON is the driver's, byte-for-byte).
 fn cmd_run_connect(path: &str, socket: &str, o: &Options) -> ExitCode {
-    use bench::json::Json;
+    use telemetry::json::Json;
     if o.trace.is_some() || o.flame.is_some() {
         eprintln!("error: --trace/--flame are not available with --connect");
         return ExitCode::from(2);

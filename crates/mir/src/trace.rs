@@ -3,18 +3,15 @@
 //! A [`TraceRecorder`] collects one [`PassSpan`] per executed pass: which
 //! pipeline stage it ran in, how long it took (wall clock), and what it did
 //! to the IR (live instruction/block counts before and after, whether it
-//! reported a change). The recorder renders Chrome `trace_event` JSON
-//! (loadable in Perfetto / `chrome://tracing`).
+//! reported a change). This module only records; the `bench` crate renders
+//! recorded spans as Chrome `trace_event` JSON.
 //!
-//! **Determinism.** The emitted JSON is byte-for-byte reproducible for a
-//! given module and pipeline: timestamps and durations are *logical* units
-//! (one unit per live instruction the pass observed), not wall-clock, so
-//! traces compare equal across machines, runs, and worker counts. The
-//! measured wall-clock time is still recorded on each span
-//! ([`PassSpan::wall_nanos`]) for in-process consumers such as the `bench`
-//! driver's stage timings — it is deliberately excluded from the JSON.
-
-use std::fmt::Write as _;
+//! **Determinism.** Besides wall clock, every span carries a *logical*
+//! duration ([`PassSpan::logical_dur`], one unit per live instruction the
+//! pass observed), so a rendering built from logical units is reproducible
+//! byte for byte across machines, runs, and worker counts. The measured
+//! wall-clock time ([`PassSpan::wall_nanos`]) is kept for in-process use
+//! only.
 
 use crate::module::Module;
 
@@ -25,8 +22,8 @@ pub struct PassSpan {
     pub name: String,
     /// Stage label (e.g. `stage0`, `plugin@VectorizerStart`).
     pub stage: String,
-    /// Wall-clock time the pass took, in nanoseconds. Not part of the
-    /// serialized trace (see module docs).
+    /// Wall-clock time the pass took, in nanoseconds. Never rendered (see
+    /// module docs).
     pub wall_nanos: u128,
     /// Live instructions before the pass ran.
     pub instrs_before: u64,
@@ -100,89 +97,6 @@ impl TraceRecorder {
     pub fn spans(&self) -> &[PassSpan] {
         &self.spans
     }
-
-    /// Total wall-clock time across all spans, in nanoseconds.
-    pub fn total_wall_nanos(&self) -> u128 {
-        self.spans.iter().map(|s| s.wall_nanos).sum()
-    }
-
-    /// Serializes the recorded spans as one complete-event (`"ph":"X"`)
-    /// per pass on thread `tid`, appending to `out`. Returns the logical
-    /// end time. Used by multi-track writers; most callers want
-    /// [`TraceRecorder::to_chrome_trace`].
-    pub fn write_chrome_events(&self, out: &mut Vec<String>, pid: u64, tid: u64) -> u64 {
-        let mut ts = 0u64;
-        for s in &self.spans {
-            let dur = s.logical_dur();
-            let mut e = String::new();
-            let _ = write!(
-                e,
-                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
-                 \"pid\":{pid},\"tid\":{tid},\"args\":{{\
-                 \"instrs_before\":{},\"instrs_after\":{},\
-                 \"blocks_before\":{},\"blocks_after\":{},\
-                 \"changed\":{}}}}}",
-                json_string(&s.name),
-                json_string(&s.stage),
-                s.instrs_before,
-                s.instrs_after,
-                s.blocks_before,
-                s.blocks_after,
-                s.changed,
-            );
-            out.push(e);
-            ts += dur;
-        }
-        ts
-    }
-
-    /// Renders the whole trace as a Chrome `trace_event` JSON document
-    /// (an object with a `traceEvents` array), viewable in Perfetto.
-    pub fn to_chrome_trace(&self) -> String {
-        chrome_trace_document(&[("pipeline".to_string(), self.clone())])
-    }
-}
-
-/// Renders several named traces as one Chrome `trace_event` document, one
-/// thread track per trace (in the given order). Deterministic: callers
-/// wanting byte-stable output across parallel runs must order the tracks
-/// themselves (e.g. sort by label).
-pub fn chrome_trace_document(tracks: &[(String, TraceRecorder)]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    for (i, (label, rec)) in tracks.iter().enumerate() {
-        let tid = i as u64 + 1;
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":{}}}}}",
-            json_string(label)
-        ));
-        rec.write_chrome_events(&mut events, 1, tid);
-    }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -213,55 +127,5 @@ mod tests {
         assert_eq!(s.stage, "stage0");
         assert_eq!(s.instrs_before, s.instrs_after);
         assert!(!s.changed);
-    }
-
-    #[test]
-    fn chrome_trace_is_deterministic_and_excludes_wall_clock() {
-        let render = || {
-            let mut m = tiny_module();
-            let mut rec = TraceRecorder::new();
-            rec.record_pass("stage0", "a", &mut m, |_| false);
-            rec.record_pass("stage1", "b", &mut m, |_| true);
-            rec.to_chrome_trace()
-        };
-        let a = render();
-        let b = render();
-        // Wall-clock differs between the two runs, but the JSON must not.
-        assert_eq!(a, b);
-        assert!(a.contains("\"traceEvents\""));
-        assert!(a.contains("\"ph\":\"X\""));
-        assert!(!a.contains("wall"));
-    }
-
-    #[test]
-    fn logical_timestamps_accumulate() {
-        let mut m = tiny_module();
-        let mut rec = TraceRecorder::new();
-        rec.record_pass("s", "a", &mut m, |_| false);
-        rec.record_pass("s", "b", &mut m, |_| false);
-        let mut events = Vec::new();
-        let end = rec.write_chrome_events(&mut events, 1, 1);
-        assert_eq!(events.len(), 2);
-        let d0 = rec.spans()[0].logical_dur();
-        assert!(events[1].contains(&format!("\"ts\":{d0}")));
-        assert_eq!(end, d0 + rec.spans()[1].logical_dur());
-    }
-
-    #[test]
-    fn multi_track_document_names_threads() {
-        let mut m = tiny_module();
-        let mut rec = TraceRecorder::new();
-        rec.record_pass("s", "a", &mut m, |_| false);
-        let doc = chrome_trace_document(&[("x".to_string(), rec.clone()), ("y".to_string(), rec)]);
-        assert!(doc.contains("\"thread_name\""));
-        assert!(doc.contains("\"name\":\"x\""));
-        assert!(doc.contains("\"name\":\"y\""));
-        assert!(doc.contains("\"tid\":2"));
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

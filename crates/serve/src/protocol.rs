@@ -6,14 +6,15 @@
 //! newline-stripped). The schema is documented in `DESIGN.md` and pinned
 //! byte-for-byte by the golden-file test `tests/golden.rs`.
 //!
-//! Byte-identity note: a response's `result` (and a `trap` error's
-//! `report`) is always the envelope's *last* field, so [`Response::decode`]
-//! can hand callers the raw payload bytes unreparsed — which is how
-//! `mi run --connect` and the identity tests compare served results
-//! against in-process sweeps without a lossy JSON round-trip.
+//! Byte-identity note: a response's `result` is always the envelope's
+//! *last* field, so [`Response::decode`] can hand callers the raw payload
+//! bytes unreparsed — which is how `mi run --connect` and the identity
+//! tests compare served results against in-process sweeps without a lossy
+//! JSON round-trip. A `trap` error's `report` is always a report cell, which
+//! [`JobError::from_json`] renders back to the same bytes.
 
 use bench::job::{JobError, JobSpec};
-use bench::json::Json;
+use telemetry::json::{self, json_str, obj, Json};
 
 /// The protocol identifier every line carries.
 pub const SCHEMA: &str = "mi-serve/1";
@@ -87,27 +88,26 @@ pub struct Request {
 impl Request {
     /// Encodes the request as its wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = format!("{{\"schema\":\"{SCHEMA}\",\"id\":{},\"op\":", self.id);
+        let mut m =
+            vec![("schema", SCHEMA.into()), ("id", self.id.into()), ("op", self.op.name().into())];
         match &self.op {
             Op::Job { spec, deadline_ms } => {
-                out.push_str("\"job\",\"job\":");
-                out.push_str(&spec.to_json());
+                m.push(("job", spec.to_json()));
                 if let Some(d) = deadline_ms {
-                    out.push_str(&format!(",\"deadline_ms\":{d}"));
+                    m.push(("deadline_ms", (*d).into()));
                 }
             }
             Op::Fuzz { seed, start, cases } => {
-                out.push_str(&format!(
-                    "\"fuzz\",\"seed\":{seed},\"start\":{start},\"cases\":{cases}"
-                ));
+                m.extend([
+                    ("seed", (*seed).into()),
+                    ("start", (*start).into()),
+                    ("cases", (*cases).into()),
+                ]);
             }
-            Op::Cancel { target } => out.push_str(&format!("\"cancel\",\"target\":{target}")),
-            Op::Metrics => out.push_str("\"metrics\""),
-            Op::Ping => out.push_str("\"ping\""),
-            Op::Shutdown => out.push_str("\"shutdown\""),
+            Op::Cancel { target } => m.push(("target", (*target).into())),
+            Op::Metrics | Op::Ping | Op::Shutdown => {}
         }
-        out.push('}');
-        out
+        obj(m).render(json::MI_SERVE)
     }
 
     /// Decodes one wire line.
@@ -117,7 +117,7 @@ impl Request {
     /// Returns a message naming the first structural problem (bad JSON,
     /// wrong schema, missing id, unknown op, malformed job).
     pub fn decode(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line.trim())?;
+        let v = Json::parse(line.trim()).map_err(|e| e.to_string())?;
         match v.get("schema").and_then(Json::as_str) {
             Some(SCHEMA) => {}
             other => return Err(format!("expected schema {SCHEMA:?}, got {other:?}")),
@@ -188,17 +188,12 @@ impl Response {
     /// Encodes the response as its wire line (no trailing newline). The
     /// payload is always the last envelope field — see the module docs.
     pub fn encode(&self) -> String {
-        match &self.body {
-            ResponseBody::Ok { result } => format!(
-                "{{\"schema\":\"{SCHEMA}\",\"id\":{},\"ok\":true,\"result\":{result}}}",
-                self.id
-            ),
-            ResponseBody::Err(e) => format!(
-                "{{\"schema\":\"{SCHEMA}\",\"id\":{},\"ok\":false,\"error\":{}}}",
-                self.id,
-                e.to_json()
-            ),
-        }
+        let (ok, payload) = match &self.body {
+            ResponseBody::Ok { result } => (true, ("result", Json::Raw(result.clone()))),
+            ResponseBody::Err(e) => (false, ("error", e.to_json())),
+        };
+        obj([("schema", SCHEMA.into()), ("id", self.id.into()), ("ok", ok.into()), payload])
+            .render(json::MI_SERVE)
     }
 
     /// Decodes one wire line, preserving the payload's raw bytes.
@@ -208,7 +203,7 @@ impl Response {
     /// Returns a message naming the first structural problem.
     pub fn decode(line: &str) -> Result<Response, String> {
         let line = line.trim();
-        let v = Json::parse(line)?;
+        let v = Json::parse(line).map_err(|e| e.to_string())?;
         match v.get("schema").and_then(Json::as_str) {
             Some(SCHEMA) => {}
             other => return Err(format!("expected schema {SCHEMA:?}, got {other:?}")),
@@ -220,10 +215,9 @@ impl Response {
                     .ok_or("ok response missing \"result\"")?
                     .to_string(),
             },
-            Some(false) => {
-                let raw = raw_last_field(line, "error").ok_or("err response missing \"error\"")?;
-                ResponseBody::Err(decode_error(raw)?)
-            }
+            Some(false) => ResponseBody::Err(JobError::from_json(
+                v.get("error").ok_or("err response missing \"error\"")?,
+            )?),
             None => return Err("response missing boolean \"ok\"".to_string()),
         };
         Ok(Response { id, body })
@@ -242,24 +236,10 @@ pub fn reject_line(id: u64, reason: &str) -> String {
 /// to the closing `}` of the envelope). Only envelope-controlled text
 /// precedes the payload, so the first occurrence of `"key":` is the field.
 fn raw_last_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
+    let pat = format!("{}:", json_str(key));
     let start = line.find(&pat)? + pat.len();
     let end = line.rfind('}')?;
     (start < end).then(|| &line[start..end])
-}
-
-fn decode_error(raw: &str) -> Result<JobError, String> {
-    let v = Json::parse(raw)?;
-    let e = JobError::from_json(&v)?;
-    // Re-slice a trap's report from the raw text so its bytes survive
-    // (JobError::from_json re-renders, which is lossless JSON-wise but not
-    // byte-wise).
-    if let JobError::Trap { .. } = e {
-        let report =
-            raw_last_field(raw, "report").ok_or("trap error missing \"report\"")?.to_string();
-        return Ok(JobError::Trap { report });
-    }
-    Ok(e)
 }
 
 #[cfg(test)]

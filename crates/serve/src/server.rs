@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 use bench::job::{self, JobCtl, JobError, JobSpec};
 use bench::store::ArtifactStore;
 use memvm::VmConfig;
+use telemetry::json::{self, arr, obj, Json};
 use telemetry::Registry;
 
 use crate::protocol::{reject_line, Op, Request, Response, ResponseBody};
@@ -260,7 +261,7 @@ fn run_fuzz(
     start: u64,
     cases: u64,
 ) -> Result<String, JobError> {
-    let mut failures = String::new();
+    let mut failures = Vec::new();
     for index in start..start + cases {
         if job.cancel.load(Ordering::Acquire) {
             return Err(JobError::Cancelled);
@@ -279,18 +280,17 @@ fn run_fuzz(
             }
         };
         if !errors.is_empty() {
-            if !failures.is_empty() {
-                failures.push(',');
-            }
-            let rendered: Vec<String> = errors.iter().map(|e| bench::json::json_str(e)).collect();
-            failures
-                .push_str(&format!("{{\"index\":{index},\"errors\":[{}]}}", rendered.join(",")));
+            failures.push(obj([("index", index.into()), ("errors", arr(errors))]));
         }
     }
-    let ok = failures.is_empty();
-    Ok(format!(
-        "{{\"seed\":{seed},\"start\":{start},\"cases\":{cases},\"ok\":{ok},\"failures\":[{failures}]}}"
-    ))
+    Ok(obj([
+        ("seed", seed.into()),
+        ("start", start.into()),
+        ("cases", cases.into()),
+        ("ok", failures.is_empty().into()),
+        ("failures", Json::Arr(failures)),
+    ])
+    .render(json::MI_SERVE))
 }
 
 /// Registers a request in the connection's live table and enqueues it,
@@ -333,23 +333,25 @@ fn reader_loop(state: &Arc<State>, stream: UnixStream) {
             Ok(r) => r,
             Err(e) => {
                 // Best-effort id recovery so the client can correlate.
-                let id = bench::json::Json::parse(line.trim())
+                let id = Json::parse(line.trim())
                     .ok()
-                    .and_then(|v| v.get("id").and_then(bench::json::Json::as_u64))
+                    .and_then(|v| v.get("id").and_then(Json::as_u64))
                     .unwrap_or(0);
                 conn.send_line(&reject_line(id, &format!("bad request: {e}")));
                 continue;
             }
         };
         state.count("serve_requests", &[("op", req.op.name())]);
-        match req.op {
+        let result = match req.op {
             Op::Job { spec, deadline_ms } => {
                 submit(state, &conn, req.id, Work::Job(spec), deadline_ms);
+                continue;
             }
             Op::Fuzz { seed, start, cases } => {
                 // Deadline-less fuzz ranges fall back to the same default
                 // as jobs; the per-case poll in `run_fuzz` enforces it.
                 submit(state, &conn, req.id, Work::Fuzz { seed, start, cases }, None);
+                continue;
             }
             Op::Cancel { target } => {
                 let found = match conn.live.lock().unwrap().get(&target) {
@@ -359,26 +361,20 @@ fn reader_loop(state: &Arc<State>, stream: UnixStream) {
                     }
                     None => false,
                 };
-                let result = format!("{{\"target\":{target},\"found\":{found}}}");
-                conn.send(&Response { id: req.id, body: ResponseBody::Ok { result } });
+                obj([("target", target.into()), ("found", found.into())]).render(json::MI_SERVE)
             }
-            Op::Metrics => {
-                let result = state.merged_metrics().to_json_line();
-                conn.send(&Response { id: req.id, body: ResponseBody::Ok { result } });
-            }
-            Op::Ping => {
-                let result = "{\"pong\":true}".to_string();
-                conn.send(&Response { id: req.id, body: ResponseBody::Ok { result } });
-            }
+            Op::Metrics => state.merged_metrics().to_json_line(),
+            Op::Ping => obj([("pong", true.into())]).render(json::MI_SERVE),
             Op::Shutdown => {
                 state.draining.store(true, Ordering::Release);
                 state.await_drained();
-                let result = "{\"drained\":true}".to_string();
+                let result = obj([("drained", true.into())]).render(json::MI_SERVE);
                 conn.send(&Response { id: req.id, body: ResponseBody::Ok { result } });
                 state.request_stop();
                 return;
             }
-        }
+        };
+        conn.send(&Response { id: req.id, body: ResponseBody::Ok { result } });
     }
     // Client hung up: cancel anything it still has queued or running.
     for flag in conn.live.lock().unwrap().values() {

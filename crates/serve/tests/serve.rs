@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use bench::driver::{benchmark_programs, cell_json, paper_sweep_configs, Driver, Program};
 use bench::job::{job_matrix, JobAction, JobError, JobSpec, SourceRef};
-use bench::json::Json;
 use serve::{Client, Op, ResponseBody, ServerConfig};
+use telemetry::json::{self, Json};
 
 static SOCKET_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -95,7 +95,7 @@ fn assert_byte_identity(tag: &str, programs: Vec<Program>, clients: usize) {
         .map(|c| {
             (
                 (c.program.clone(), c.config.clone()),
-                cell_json(&c.program, &c.config, &c.outcome, None),
+                cell_json(&c.program, &c.config, &c.outcome, None).render(json::REPORT_CELL),
             )
         })
         .collect();
@@ -392,5 +392,35 @@ fn metrics_expose_store_hits_after_warm_resubmission() {
     // Ping keeps working on the same pipelined connection.
     let pong = client.call(Op::Ping).unwrap();
     assert_eq!(pong.body, ResponseBody::Ok { result: "{\"pong\":true}".into() });
+    server.shutdown();
+}
+
+/// Hostile request lines at the trust boundary: nesting far deeper than
+/// any schema, and a high surrogate escape without its low half. Each gets
+/// a `rejected` response, and the same connection keeps being served.
+#[test]
+fn hostile_request_lines_are_rejected_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = start_server("hostile", ServerConfig::default());
+    let stream = std::os::unix::net::UnixStream::connect(server.socket()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut exchange = |request: &str| {
+        writer.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        serve::Response::decode(&line).unwrap_or_else(|e| panic!("{e}: {line:?}")).body
+    };
+    let surrogate = r#"{"schema":"mi-serve/1","id":2,"op":"job","job":{"source":{"kind":"inline","name":"\uD800\u0041","text":""},"config":"baseline@O3@VectorizerStart","action":"run"}}"#;
+    for request in ["[".repeat(100_000), surrogate.to_string()] {
+        match exchange(&request) {
+            ResponseBody::Err(JobError::Rejected { reason }) => {
+                assert!(reason.starts_with("bad request: "), "{reason}")
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+    let ping = serve::Request { id: 3, op: Op::Ping }.encode();
+    assert_eq!(exchange(&ping), ResponseBody::Ok { result: "{\"pong\":true}".into() });
     server.shutdown();
 }

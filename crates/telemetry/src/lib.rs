@@ -1,8 +1,12 @@
-//! Deterministic observability primitives shared by the VM, the evaluation
-//! driver, and the CLI.
+//! Deterministic observability primitives and the JSON layer shared by the
+//! VM, the evaluation driver, the daemon and the CLI.
 //!
-//! Two building blocks:
+//! Three building blocks:
 //!
+//! - [`json`] — the workspace's one JSON layer: a value type every frozen
+//!   export is built as, one writer whose layouts are exactly the frozen
+//!   schemas' byte shapes, and the bounded parser at the daemon's trust
+//!   boundary.
 //! - [`metrics::Registry`] — a typed metrics registry (counters, gauges,
 //!   histograms) with plain `u64` fields and no atomics. Workers each fill a
 //!   private registry and the results are [merged](metrics::Registry::merge)
@@ -19,6 +23,7 @@
 //! the design constraint, not an afterthought.
 
 pub mod flame;
+pub mod json;
 pub mod metrics;
 
 pub use flame::FoldedStacks;

@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{self, arr, obj, Json};
+
 /// Identity of one time series: metric name plus sorted label pairs.
 type Key = (String, Vec<(String, String)>);
 
@@ -178,53 +180,41 @@ impl Registry {
 
     /// Serializes as versioned `mi-metrics/1` JSON (deterministic order).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"mi-metrics/1\",\n  \"counters\": [");
-        push_scalar_entries(&mut s, &self.counters);
-        s.push_str("],\n  \"gauges\": [");
-        push_scalar_entries(&mut s, &self.gauges);
-        s.push_str("],\n  \"histograms\": [");
-        let mut first = true;
-        for ((name, labels), h) in &self.histograms {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str("\n    {\"name\": ");
-            push_json_str(&mut s, name);
-            s.push_str(", \"labels\": ");
-            push_labels_json(&mut s, labels);
-            s.push_str(", \"buckets\": [");
-            for (i, c) in h.counts.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let le = match h.bounds.get(i) {
-                    Some(b) => format!("\"{b}\""),
-                    None => "\"+Inf\"".to_string(),
-                };
-                s.push_str(&format!("{{\"le\": {le}, \"count\": {c}}}"));
-            }
-            s.push_str(&format!("], \"sum\": {}, \"count\": {}}}", h.sum, h.count));
-        }
-        if !self.histograms.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+        self.to_value().render(json::MI_METRICS)
     }
 
     /// Serializes as single-line `mi-metrics/1` JSON, for carriers whose
     /// framing is newline-delimited (the `mi serve` daemon's `metrics`
-    /// responses). In [`Registry::to_json`] raw newlines are structural
-    /// only — string values escape them — so joining the trimmed lines
-    /// yields an equivalent document with no `0x0A` byte.
+    /// responses): the [`Registry::to_json`] document without its line
+    /// breaks and indentation.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::new();
-        for line in self.to_json().lines() {
-            s.push_str(line.trim_start());
-        }
-        s
+        self.to_value().render(json::MI_METRICS_LINE)
+    }
+
+    fn to_value(&self) -> Json {
+        let series = |(name, labels): &Key, rest: Vec<(&str, Json)>| {
+            let labels = Json::Obj(labels.iter().map(|(k, v)| (k.clone(), v.into())).collect());
+            obj([("name", name.into()), ("labels", labels)].into_iter().chain(rest))
+        };
+        let scalars = |map: &BTreeMap<Key, u64>| {
+            arr(map.iter().map(|(k, &v)| series(k, vec![("value", v.into())])))
+        };
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let buckets = h.counts.iter().enumerate().map(|(i, &c)| {
+                let le = h.bounds.get(i).map_or("+Inf".to_string(), u64::to_string);
+                obj([("le", le.into()), ("count", c.into())])
+            });
+            series(
+                k,
+                vec![("buckets", arr(buckets)), ("sum", h.sum.into()), ("count", h.count.into())],
+            )
+        });
+        obj([
+            ("schema", "mi-metrics/1".into()),
+            ("counters", scalars(&self.counters)),
+            ("gauges", scalars(&self.gauges)),
+            ("histograms", arr(histograms)),
+        ])
     }
 
     /// Serializes in the Prometheus text exposition format (deterministic
@@ -268,57 +258,13 @@ impl Registry {
     }
 }
 
-fn push_scalar_entries(s: &mut String, map: &BTreeMap<Key, u64>) {
-    let mut first = true;
-    for ((name, labels), v) in map {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str("\n    {\"name\": ");
-        push_json_str(s, name);
-        s.push_str(", \"labels\": ");
-        push_labels_json(s, labels);
-        s.push_str(&format!(", \"value\": {v}}}"));
-    }
-    if !map.is_empty() {
-        s.push_str("\n  ");
-    }
-}
-
-fn push_labels_json(s: &mut String, labels: &[(String, String)]) {
-    s.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        push_json_str(s, k);
-        s.push_str(": ");
-        push_json_str(s, v);
-    }
-    s.push('}');
-}
-
-fn push_json_str(s: &mut String, raw: &str) {
-    s.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
 fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
     let mut parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
+        .map(|(k, v)| {
+            let v = v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+            format!("{k}=\"{v}\"")
+        })
         .collect();
     if let Some((k, v)) = extra {
         parts.push(format!("{k}=\"{v}\""));
@@ -465,6 +411,8 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("ops", &[("op", "load")], 3);
         r.counter_add("ops", &[("op", "store")], 4);
+        // A label value that would otherwise end the sample line early.
+        r.counter_add("ops", &[("op", "a\"b\\c\nd")], 5);
         r.gauge_set("peak", &[], 9);
         let mut h = Histogram::new(&[10]);
         h.observe(5);
@@ -474,6 +422,7 @@ mod tests {
         assert_eq!(p.matches("# TYPE ops counter").count(), 1, "one TYPE line per name");
         assert!(p.contains("ops{op=\"load\"} 3\n"));
         assert!(p.contains("ops{op=\"store\"} 4\n"));
+        assert!(p.contains("ops{op=\"a\\\"b\\\\c\\nd\"} 5\n"), "{p}");
         assert!(p.contains("# TYPE peak gauge\npeak 9\n"));
         assert!(p.contains("lat_bucket{le=\"10\"} 1\n"));
         assert!(p.contains("lat_bucket{le=\"+Inf\"} 2\n"), "buckets are cumulative");

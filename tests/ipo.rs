@@ -21,10 +21,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bench::job::{self, JobAction, JobCtl, JobSpec, SourceRef};
-use bench::json::Json;
 use bench::store::ArtifactStore;
 use meminstrument::{Instrument, Mechanism, OptConfig, SbAccessLog};
 use memvm::{VmBackend, VmConfig};
+use telemetry::json::Json;
 
 /// Elision claims grouped by `(func, line, width)` site key: each entry
 /// is a claimed `(offset range, minimum extent)` fact.
