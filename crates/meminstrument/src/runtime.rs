@@ -24,7 +24,7 @@ use lowfat::{alloc_size, base_of, is_low_fat, region_of, LowFatHeap, LowFatStack
 use memvm::cost::helper;
 use memvm::host::BumpAllocator;
 use memvm::interp::{ExecOutcome, GlobalPlacer, Trap, Vm, VmConfig};
-use memvm::{CostCategory, RtVal};
+use memvm::{CheckFastPath, CostCategory, RtVal};
 use mir::analysis::ipo::ModuleSummaries;
 use mir::module::{Global, Module};
 use mir::pipeline::{ExtensionPoint, OptLevel, Pipeline};
@@ -542,13 +542,41 @@ fn install_redzone(vm: &mut Vm, shadow: Rc<RefCell<RzState>>) {
     }
 }
 
+/// The passing case of `__sb_check` (Figure 2): `Some(wide)` when the
+/// closure below would return `Ok`, `None` when it would report.
+fn sb_check_passes(args: &[RtVal]) -> Option<bool> {
+    let [RtVal::Int(ptr), RtVal::Int(width), RtVal::Int(base), RtVal::Int(bound), ..] = *args
+    else {
+        return None;
+    };
+    if bound == u64::MAX {
+        return Some(true);
+    }
+    Bounds { base, bound }.allows(ptr, width).then_some(false)
+}
+
+/// The passing case of `__lf_check` (Figure 5), like [`sb_check_passes`].
+fn lf_check_passes(args: &[RtVal]) -> Option<bool> {
+    let [RtVal::Int(ptr), RtVal::Int(width), RtVal::Int(base), ..] = *args else {
+        return None;
+    };
+    if !is_low_fat(base) {
+        return Some(true);
+    }
+    let size = alloc_size(region_of(base));
+    (width <= size && ptr.wrapping_sub(base) <= size - width).then_some(false)
+}
+
 fn install_softbound(vm: &mut Vm, log: Option<SbAccessLog>) {
     let table = SiteTable::of(vm);
     let trie = Rc::new(RefCell::new(MetadataTrie::new()));
     let ss = Rc::new(RefCell::new(ShadowStack::new()));
     let reg = vm.registry_mut();
 
-    reg.register("__sb_check", move |ctx, args| {
+    // The logging variant must see every check, so it gets no fast path.
+    let fast =
+        log.is_none().then_some(CheckFastPath { pass: sb_check_passes, charge: helper::SB_CHECK });
+    let check = move |ctx: &mut memvm::HostCtx<'_>, args: &[RtVal]| {
         ctx.charge(CostCategory::Checks, helper::SB_CHECK);
         ctx.stats.checks_executed += 1;
         let (ptr, width) = (args[0].as_int(), args[1].as_int());
@@ -580,7 +608,11 @@ fn install_softbound(vm: &mut Vm, log: Option<SbAccessLog>) {
             ));
         }
         Ok(RtVal::Int(0))
-    });
+    };
+    match fast {
+        Some(fast) => reg.register_check("__sb_check", check, fast),
+        None => reg.register("__sb_check", check),
+    }
     {
         let trie = trie.clone();
         reg.register("__sb_trie_get_base", move |ctx, args| {
@@ -790,7 +822,7 @@ fn install_lowfat(vm: &mut Vm, heap: Rc<RefCell<LowFatHeap>>) {
     });
     {
         let table = table.clone();
-        reg.register("__lf_check", move |ctx, args| {
+        let check = move |ctx: &mut memvm::HostCtx<'_>, args: &[RtVal]| {
             ctx.charge(CostCategory::Checks, helper::LF_CHECK);
             ctx.stats.checks_executed += 1;
             let (ptr, width, base) = (args[0].as_int(), args[1].as_int(), args[2].as_int());
@@ -816,7 +848,9 @@ fn install_lowfat(vm: &mut Vm, heap: Rc<RefCell<LowFatHeap>>) {
                 ));
             }
             Ok(RtVal::Int(0))
-        });
+        };
+        let fast = CheckFastPath { pass: lf_check_passes, charge: helper::LF_CHECK };
+        reg.register_check("__lf_check", check, fast);
     }
     reg.register("__lf_invariant", move |ctx, args| {
         ctx.charge(CostCategory::Checks, helper::LF_INVARIANT);
@@ -1236,5 +1270,134 @@ mod tests {
         .unwrap();
         assert!(inv.stats.cost_total < full.stats.cost_total);
         assert_eq!(inv.stats.checks_executed, 0);
+    }
+
+    /// How a check call passes its site id.
+    #[derive(Copy, Clone, Debug)]
+    enum SiteArg {
+        /// A constant id in the site table.
+        InRange,
+        /// A constant id past the end of the table.
+        OutOfRange,
+        /// No site argument at all.
+        Absent,
+        /// An in-range id computed at run time (not decodable up front).
+        Dynamic,
+    }
+
+    /// What one run exposes: verdict, stats, site profile and op ledger.
+    type Observed = (Result<(), Trap>, memvm::VmStats, memvm::SiteProfile, memvm::OpMetrics);
+
+    /// Runs a single check call on `backend`, returning what the run
+    /// exposes and how often the registered closure ran.
+    fn run_check_call(
+        mech: Mechanism,
+        args: &[u64],
+        site: SiteArg,
+        backend: memvm::VmBackend,
+    ) -> (Observed, u32) {
+        let helper = match mech {
+            Mechanism::SoftBound => "__sb_check",
+            _ => "__lf_check",
+        };
+        let mut operands: Vec<String> = args.iter().map(|a| format!("i64 {a}")).collect();
+        match site {
+            SiteArg::InRange => operands.push("i64 0".into()),
+            SiteArg::OutOfRange => operands.push("i64 7".into()),
+            SiteArg::Absent => {}
+            SiteArg::Dynamic => operands.push("%site".into()),
+        }
+        let src = format!(
+            "define i64 @main() {{\nentry:\n  %site = add i64, i64 0, i64 0\n  \
+             call void @{helper}({})\n  ret i64 0\n}}\n",
+            operands.join(", ")
+        );
+        let mut module = parse(&src);
+        module.check_sites.push(CheckSite {
+            func: "main".into(),
+            kind: SiteKind::Deref,
+            is_store: false,
+            width: Some(8),
+            line: Some(3),
+            alloc: None,
+        });
+        let config = VmConfig { backend, ..VmConfig::default() };
+        let mut vm = Vm::new(module, config).unwrap();
+        match mech {
+            Mechanism::SoftBound => install_softbound(&mut vm, None),
+            _ => install_lowfat(&mut vm, Rc::new(RefCell::new(LowFatHeap::new()))),
+        }
+        // Count closure calls, keeping the fast path registered.
+        let calls = Rc::new(std::cell::Cell::new(0));
+        let reg = vm.registry_mut();
+        let (closure, fast) = (reg.get(helper).unwrap().clone(), reg.fast_path(helper).unwrap());
+        let counter = calls.clone();
+        reg.register_check(
+            helper,
+            move |ctx, a| {
+                counter.set(counter.get() + 1);
+                closure(ctx, a)
+            },
+            fast,
+        );
+        let r = vm.run("main", &[]).map(|_| ());
+        let observed = (r, vm.stats().clone(), vm.profile().clone(), vm.op_metrics().clone());
+        (observed, calls.get())
+    }
+
+    /// The SoftBound and Low-Fat pass predicates agree with their closures
+    /// on every boundary of the paper's checks (Figures 2 and 5), and the
+    /// bytecode VM's inline pass path leaves exactly the closure's
+    /// accounting: a passing check with an in-range constant site never
+    /// calls the closure, everything else does, and the walker (which
+    /// always calls it) sees the same verdict, `VmStats`, site profile and
+    /// op ledger.
+    #[test]
+    fn check_predicates_agree_with_their_closures() {
+        let obj = LowFatHeap::new().alloc(100).unwrap();
+        let (lb, size) = (obj.addr, obj.class_size);
+        let (b, e) = (0x5000_u64, 0x5040_u64); // SoftBound object [b, e)
+        #[rustfmt::skip]
+        let cases: &[(Mechanism, &str, Vec<u64>, bool)] = &[
+            (Mechanism::SoftBound, "ptr = base - 1", vec![b - 1, 8, b, e], false),
+            (Mechanism::SoftBound, "ptr = base", vec![b, 8, b, e], true),
+            (Mechanism::SoftBound, "ptr = bound - width", vec![e - 8, 8, b, e], true),
+            (Mechanism::SoftBound, "ptr = bound - width + 1", vec![e - 7, 8, b, e], false),
+            (Mechanism::SoftBound, "width > size", vec![b, 0x41, b, e], false),
+            (Mechanism::SoftBound, "ptr + width overflows", vec![u64::MAX - 3, 8, 0, u64::MAX - 1], false),
+            (Mechanism::SoftBound, "wide bounds", vec![b - 1, 8, 0, u64::MAX], true),
+            (Mechanism::LowFat, "ptr = base - 1", vec![lb - 1, 8, lb], false),
+            (Mechanism::LowFat, "ptr = base", vec![lb, 8, lb], true),
+            (Mechanism::LowFat, "ptr = bound - width", vec![lb + size - 8, 8, lb], true),
+            (Mechanism::LowFat, "ptr = bound - width + 1", vec![lb + size - 7, 8, lb], false),
+            (Mechanism::LowFat, "width > size", vec![lb, size + 1, lb], false),
+            (Mechanism::LowFat, "ptr + width overflows", vec![u64::MAX - 3, 8, lb], false),
+            (Mechanism::LowFat, "non-low-fat base", vec![b - 1, 8, b], true),
+        ];
+        let sites = [SiteArg::InRange, SiteArg::OutOfRange, SiteArg::Absent, SiteArg::Dynamic];
+        for (mech, name, args, passes) in cases {
+            let pass = match mech {
+                Mechanism::SoftBound => sb_check_passes,
+                _ => lf_check_passes,
+            };
+            let rt: Vec<RtVal> = args.iter().map(|&a| RtVal::Int(a)).collect();
+            assert_eq!(pass(&rt).is_some(), *passes, "{mech:?} {name}: predicate");
+            for site in sites {
+                let case = format!("{mech:?} {name} site {site:?}");
+                let (walk, walk_calls) = run_check_call(*mech, args, site, memvm::VmBackend::Walk);
+                let (bc, bc_calls) = run_check_call(*mech, args, site, memvm::VmBackend::Bytecode);
+                assert_eq!(walk.0.is_ok(), *passes, "{case}: closure verdict");
+                assert_eq!(bc, walk, "{case}: inline path vs closure");
+                assert_eq!(walk_calls, 1, "{case}");
+                let inline = *passes && matches!(site, SiteArg::InRange);
+                assert_eq!(bc_calls, u32::from(!inline), "{case}: closure calls");
+                if *passes {
+                    let hits =
+                        if matches!(site, SiteArg::InRange | SiteArg::Dynamic) { 1 } else { 0 };
+                    assert_eq!(walk.2.total_hits(), hits, "{case}: site profile");
+                    assert_eq!(walk.1.checks_executed, 1, "{case}");
+                }
+            }
+        }
     }
 }

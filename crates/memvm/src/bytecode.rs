@@ -37,7 +37,7 @@ use mir::module::Module;
 use mir::types::Type;
 
 use crate::cost::CostModel;
-use crate::host::{HostFn, HostRegistry};
+use crate::host::{CheckFastPath, HostFn, HostRegistry};
 use crate::metrics::{classify_host, OpClass};
 use crate::value::RtVal;
 
@@ -318,6 +318,45 @@ pub enum CallTarget {
     Unknown(u32),
 }
 
+/// Scalar facts about one type-pool entry, derived by [`BcFunc::seal`] so
+/// the dispatch loop computes integer results without matching on a
+/// [`Type`]. Each field reproduces one [`RtVal`] method exactly:
+/// `v & mask` is [`RtVal::truncated`] and [`IntTy::signed`] is
+/// [`RtVal::as_signed`], for every type (non-integers get the identity).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) struct IntTy {
+    /// The type is `f64`: loads produce floats.
+    pub(crate) float: bool,
+    /// Truncation mask: the integer width's low bits, all ones otherwise.
+    pub(crate) mask: u64,
+    /// Sign bit of `i8`/`i16`/`i32`; zero otherwise (`i1` reads as 0/1).
+    pub(crate) sign: u64,
+    /// Shift-amount modulus: the integer width, 64 for non-integers.
+    pub(crate) shift_mod: u32,
+}
+
+impl IntTy {
+    pub(crate) fn of(ty: &Type) -> IntTy {
+        let bits = if ty.is_int() { ty.int_bits() } else { 64 };
+        IntTy {
+            float: *ty == Type::F64,
+            mask: u64::MAX >> (64 - bits),
+            sign: match ty {
+                Type::I8 | Type::I16 | Type::I32 => 1 << (bits - 1),
+                _ => 0,
+            },
+            shift_mod: bits,
+        }
+    }
+
+    /// The signed reading of integer bits `v` (sign-extends from the
+    /// width; `i1` reads as 0 or 1, like [`RtVal::as_signed`]).
+    #[inline(always)]
+    pub(crate) fn signed(self, v: u64) -> i64 {
+        ((v & self.mask) ^ self.sign).wrapping_sub(self.sign) as i64
+    }
+}
+
 /// A compiled function body.
 #[derive(Clone)]
 pub struct BcFunc {
@@ -341,11 +380,14 @@ pub struct BcFunc {
     pub edges: Vec<Box<[MoveEntry]>>,
     /// Initial frame contents (derived from `nregs` + `float_regs`).
     pub(crate) reg_init: Box<[RtVal]>,
+    /// Scalar facts per type-pool entry (derived from `types`).
+    pub(crate) ints: Box<[IntTy]>,
 }
 
 impl BcFunc {
-    /// Rebuilds the derived initial-frame template. Must be called after
-    /// constructing or mutating `nregs`/`float_regs`.
+    /// Rebuilds the derived tables: the initial-frame template and the
+    /// per-type scalar facts. Must be called after constructing or
+    /// mutating `nregs`/`float_regs`/`types`.
     pub fn seal(&mut self) {
         let mut init = vec![RtVal::Int(0); self.nregs as usize];
         for &r in &self.float_regs {
@@ -354,6 +396,7 @@ impl BcFunc {
             }
         }
         self.reg_init = init.into_boxed_slice();
+        self.ints = self.types.iter().map(IntTy::of).collect();
     }
 }
 
@@ -380,6 +423,9 @@ pub struct BcModule {
     /// Metrics class of each snapshot entry, parallel to `hosts`
     /// (pre-computed so the dispatch loop never classifies by name).
     pub host_classes: Vec<OpClass>,
+    /// Check fast path of each snapshot entry, parallel to `hosts` (`None`
+    /// for helpers registered without one, and in parsed modules).
+    pub host_fast: Vec<Option<CheckFastPath>>,
     /// Pool of unknown-function names referenced by `Src::BadFunc`,
     /// `Op::CallUnknown` and `CallTarget::Unknown`.
     pub names: Vec<String>,
@@ -437,7 +483,7 @@ impl BcModule {
 
 impl BcImage {
     /// Rebuilds a runnable [`BcModule`] by resolving every host-pool entry
-    /// against `registry`.
+    /// (closure and check fast path) against `registry`.
     ///
     /// # Errors
     ///
@@ -454,6 +500,7 @@ impl BcImage {
         Ok(BcModule {
             funcs: self.funcs.clone(),
             hosts,
+            host_fast: self.host_names.iter().map(|n| registry.fast_path(n)).collect(),
             host_names: self.host_names.clone(),
             host_classes: self.host_classes.clone(),
             names: self.names.clone(),
@@ -488,6 +535,7 @@ struct Cx<'a> {
     names: Vec<String>,
     name_ix: HashMap<String, u32>,
     hosts: Vec<HostFn>,
+    host_fast: Vec<Option<CheckFastPath>>,
     host_names: Vec<String>,
     host_classes: Vec<OpClass>,
     host_ix: HashMap<String, u32>,
@@ -511,6 +559,7 @@ impl Cx<'_> {
         }
         let ix = self.hosts.len() as u32;
         self.hosts.push(hf);
+        self.host_fast.push(self.registry.fast_path(name));
         self.host_names.push(name.to_string());
         self.host_classes.push(classify_host(name));
         self.host_ix.insert(name.to_string(), ix);
@@ -595,6 +644,7 @@ pub fn compile(
         names: Vec::new(),
         name_ix: HashMap::new(),
         hosts: Vec::new(),
+        host_fast: Vec::new(),
         host_names: Vec::new(),
         host_classes: Vec::new(),
         host_ix: HashMap::new(),
@@ -626,6 +676,7 @@ pub fn compile(
     BcModule {
         funcs,
         hosts: cx.hosts,
+        host_fast: cx.host_fast,
         host_names: cx.host_names,
         host_classes: cx.host_classes,
         names: cx.names,
@@ -749,6 +800,7 @@ fn compile_function(cx: &mut Cx<'_>, func: &mir::function::Function) -> BcFunc {
         locs,
         edges,
         reg_init: Box::new([]),
+        ints: Box::new([]),
     };
     bf.seal();
     bf
@@ -908,9 +960,12 @@ fn compile_instr(
                     let check = CHECK_HELPERS.iter().find(|(n, _)| n == callee);
                     match check {
                         Some(&(name, site_pos)) if *ret == Type::Void && srcs.len() <= 5 => {
+                            // The site id as the helper reads it: the
+                            // constant operand's value after truncation.
                             let site = match args.get(site_pos) {
-                                Some(Operand::ConstInt { value, .. }) => {
-                                    u32::try_from(*value).unwrap_or(NO_SITE)
+                                Some(Operand::ConstInt { ty, value }) => {
+                                    let v = RtVal::Int(*value as u64).truncated(ty).as_int();
+                                    u32::try_from(v).unwrap_or(NO_SITE)
                                 }
                                 _ => NO_SITE,
                             };
@@ -1109,6 +1164,9 @@ impl BcModule {
         }
         if bf.reg_init.len() != bf.nregs as usize {
             return Err("reg_init length mismatch".into());
+        }
+        if bf.ints.len() != bf.types.len() {
+            return Err("type table length mismatch".into());
         }
         if bf.locs.len() != bf.ops.len() {
             return Err("locs/ops length mismatch".into());
@@ -2028,6 +2086,7 @@ pub fn parse_bytecode(text: &str) -> Result<BcModule, String> {
                         locs: Vec::new(),
                         edges: Vec::new(),
                         reg_init: Box::new([]),
+                        ints: Box::new([]),
                     },
                 ));
             }

@@ -9,11 +9,14 @@
 
 use std::rc::Rc;
 
+use mir::instr::{BinOp, CastOp, IcmpPred};
 use mir::types::Type;
 
-use crate::bytecode::{BcFunc, BcModule, CallTarget, IdxSpec, MoveEntry, Op, Src, NO_EDGE};
+use crate::bytecode::{
+    BcFunc, BcModule, CallTarget, CheckOp, IdxSpec, IntTy, MoveEntry, Op, Src, NO_EDGE,
+};
 use crate::host::HostCtx;
-use crate::interp::{exec_bin, exec_cast, exec_icmp, Trap, TruncIfInt, Vm};
+use crate::interp::{exec_bin, exec_cast, exec_icmp, Trap, Vm};
 use crate::layout::FUNC_BASE;
 use crate::metrics::OpClass;
 use crate::value::RtVal;
@@ -95,6 +98,55 @@ fn decode_func_addr(addr: u64, nfuncs: usize) -> Option<usize> {
     }
 }
 
+/// The integer `Bin` ops on integer bits, exactly as [`exec_bin`] computes
+/// them; `None` for the ops left to it (floats, division and remainder).
+#[inline(always)]
+fn int_bin(op: BinOp, t: IntTy, x: u64, y: u64) -> Option<u64> {
+    let v = match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::And => x & y,
+        BinOp::Or => x | y,
+        BinOp::Xor => x ^ y,
+        BinOp::Shl => x.wrapping_shl(y as u32 % t.shift_mod),
+        BinOp::LShr => x.wrapping_shr(y as u32 % t.shift_mod),
+        BinOp::AShr => (t.signed(x) >> (y as u32 % t.shift_mod)) as u64,
+        _ => return None,
+    };
+    Some(v & t.mask)
+}
+
+/// [`exec_icmp`] on integer bits. `ptr` compares signed as `i64`, which
+/// its table entry already reads as.
+#[inline(always)]
+fn int_icmp(pred: IcmpPred, t: IntTy, x: u64, y: u64) -> bool {
+    match pred {
+        IcmpPred::Eq => x == y,
+        IcmpPred::Ne => x != y,
+        IcmpPred::Ult => x < y,
+        IcmpPred::Ule => x <= y,
+        IcmpPred::Ugt => x > y,
+        IcmpPred::Uge => x >= y,
+        IcmpPred::Slt => t.signed(x) < t.signed(y),
+        IcmpPred::Sle => t.signed(x) <= t.signed(y),
+        IcmpPred::Sgt => t.signed(x) > t.signed(y),
+        IcmpPred::Sge => t.signed(x) >= t.signed(y),
+    }
+}
+
+/// The integer-to-integer casts on integer bits, exactly as [`exec_cast`]
+/// computes them; `None` for the casts left to it (those touching floats).
+#[inline(always)]
+fn int_cast(op: CastOp, from: IntTy, to: IntTy, x: u64) -> Option<u64> {
+    match op {
+        CastOp::Zext | CastOp::IntToPtr => Some(x),
+        CastOp::Trunc | CastOp::PtrToInt => Some(x & to.mask),
+        CastOp::Sext => Some(from.signed(x) as u64 & to.mask),
+        CastOp::Bitcast | CastOp::SiToFp | CastOp::FpToSi => None,
+    }
+}
+
 /// Outcome of a terminator opcode.
 enum Flow {
     /// Continue at this opcode index.
@@ -167,10 +219,16 @@ impl Vm {
                         .map_err(|t| t.with_frame(&bf.name, bf.locs[pc]))?;
                     pc += 1;
                 }
+                op @ (Op::SbCheck(c) | Op::LfCheck(c)) => {
+                    self.stats.instrs_executed += 1;
+                    if !self.bc_check_pass(&code, bf, &frame, c) {
+                        self.bc_call_leaf(&code, bf, &mut frame, op, bf.locs[pc])
+                            .map_err(|t| t.with_frame(&bf.name, bf.locs[pc]))?;
+                    }
+                    pc += 1;
+                }
                 op @ (Op::CallHost { .. }
                 | Op::CallUnknown { .. }
-                | Op::SbCheck(_)
-                | Op::LfCheck(_)
                 | Op::RzCheck(_)
                 | Op::LfInvariant(_)) => {
                     self.stats.instrs_executed += 1;
@@ -205,8 +263,12 @@ impl Vm {
                 self.charge_app(OpClass::Load, self.config.cost.load)?;
                 let addr = fetch(code, bf, frame, *ptr)?.as_int();
                 let bits = self.mem.read_uint(addr, *width).map_err(Vm::mem_err)?;
-                let ty = &bf.types[*ty as usize];
-                frame[*dst as usize] = RtVal::from_bits(ty, bits).truncated_if_int(ty);
+                let t = bf.ints[*ty as usize];
+                frame[*dst as usize] = if t.float {
+                    RtVal::Float(f64::from_bits(bits))
+                } else {
+                    RtVal::Int(bits & t.mask)
+                };
                 Ok(())
             }
             Op::Store { width, ptr, val } => {
@@ -219,15 +281,25 @@ impl Vm {
                 self.charge_app(OpClass::Bin, self.config.cost.arith)?;
                 let a = fetch(code, bf, frame, *lhs)?;
                 let b = fetch(code, bf, frame, *rhs)?;
-                frame[*dst as usize] = exec_bin(*op, &bf.types[*ty as usize], a, b)?;
+                let v = match (a, b) {
+                    (RtVal::Int(x), RtVal::Int(y)) => int_bin(*op, bf.ints[*ty as usize], x, y),
+                    _ => None,
+                };
+                frame[*dst as usize] = match v {
+                    Some(v) => RtVal::Int(v),
+                    None => exec_bin(*op, &bf.types[*ty as usize], a, b)?,
+                };
                 Ok(())
             }
             Op::Icmp { dst, pred, ty, lhs, rhs } => {
                 self.charge_app(OpClass::Icmp, self.config.cost.arith)?;
                 let a = fetch(code, bf, frame, *lhs)?;
                 let b = fetch(code, bf, frame, *rhs)?;
-                frame[*dst as usize] =
-                    RtVal::Int(exec_icmp(*pred, &bf.types[*ty as usize], a, b) as u64);
+                let r = match (a, b) {
+                    (RtVal::Int(x), RtVal::Int(y)) => int_icmp(*pred, bf.ints[*ty as usize], x, y),
+                    _ => exec_icmp(*pred, &bf.types[*ty as usize], a, b),
+                };
+                frame[*dst as usize] = RtVal::Int(r as u64);
                 Ok(())
             }
             Op::Gep { dst, base, off, terms } => {
@@ -236,9 +308,10 @@ impl Vm {
                 for t in terms.iter() {
                     let signed = match &t.spec {
                         IdxSpec::RawConst(v) => *v,
-                        IdxSpec::Signed(ty) => {
-                            fetch(code, bf, frame, t.src)?.as_signed(&bf.types[*ty as usize])
-                        }
+                        IdxSpec::Signed(ty) => match fetch(code, bf, frame, t.src)? {
+                            RtVal::Int(x) => bf.ints[*ty as usize].signed(x),
+                            other => other.as_signed(&bf.types[*ty as usize]),
+                        },
                         IdxSpec::Unsigned => fetch(code, bf, frame, t.src)?.as_int() as i64,
                     };
                     addr = addr.wrapping_add(signed.wrapping_mul(t.size) as u64);
@@ -249,8 +322,16 @@ impl Vm {
             Op::Cast { dst, op, from, to, val } => {
                 self.charge_app(OpClass::Cast, self.config.cost.arith)?;
                 let v = fetch(code, bf, frame, *val)?;
-                frame[*dst as usize] =
-                    exec_cast(*op, v, &bf.types[*from as usize], &bf.types[*to as usize]);
+                let r = match v {
+                    RtVal::Int(x) => {
+                        int_cast(*op, bf.ints[*from as usize], bf.ints[*to as usize], x)
+                    }
+                    RtVal::Float(_) => None,
+                };
+                frame[*dst as usize] = match r {
+                    Some(x) => RtVal::Int(x),
+                    None => exec_cast(*op, v, &bf.types[*from as usize], &bf.types[*to as usize]),
+                };
                 Ok(())
             }
             Op::Select { dst, cond, t, e } => {
@@ -411,6 +492,45 @@ impl Vm {
         Ok(())
     }
 
+    /// The inline pass path of an `SbCheck`/`LfCheck`: when the helper was
+    /// registered with a [`crate::host::CheckFastPath`], the site is in
+    /// range, no budget event falls due before the charge ends, and the
+    /// predicate passes, applies the helper's exact accounting and returns
+    /// `true`. Otherwise returns `false` having changed nothing, and the
+    /// caller runs the closure — the reference, and the only path that
+    /// reports a violation. The flamegraph frame the closure path pushes
+    /// and pops is unobservable here, since no sample can fall due.
+    #[inline]
+    fn bc_check_pass(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &[RtVal],
+        c: &CheckOp,
+    ) -> bool {
+        let Some(fast) = code.host_fast[c.host as usize] else { return false };
+        if c.site as usize >= code.nsites
+            || self.stats.cost_total.saturating_add(fast.charge) >= self.next_event_at
+        {
+            return false;
+        }
+        let mut buf = [RtVal::Int(0); 5];
+        let n = c.n as usize;
+        for (slot, &a) in buf[..n].iter_mut().zip(c.args.iter()) {
+            // A trapping operand is the closure path's to report.
+            let Ok(v) = fetch(code, bf, frame, a) else { return false };
+            *slot = v;
+        }
+        let Some(wide) = (fast.pass)(&buf[..n]) else { return false };
+        self.stats.cost_total += fast.charge;
+        self.stats.cost_checks += fast.charge;
+        self.stats.checks_executed += 1;
+        self.stats.checks_wide += wide as u64;
+        self.profile.record(c.site as usize, wide, fast.charge);
+        self.op_metrics.record(code.host_classes[c.host as usize], fast.charge);
+        true
+    }
+
     /// Invokes host-pool entry `h`, then applies the walker's post-call cost
     /// check (host functions charge through `HostCtx` without a limit check;
     /// the dispatcher enforces the budget afterwards). The cost_total delta
@@ -447,11 +567,8 @@ impl Vm {
             s.pop();
         }
         let r = r?;
-        if self.stats.cost_total >= self.poll_next_at {
-            self.poll_budget()?;
-        }
-        if self.stats.cost_total > self.config.max_cost {
-            return Err(Trap::CostLimit);
+        if self.stats.cost_total >= self.next_event_at {
+            self.budget_event()?;
         }
         Ok(r)
     }
@@ -547,5 +664,74 @@ impl Vm {
             _ => unreachable!("call/terminator/hot opcode routed to exec_bc_data"),
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TYPES: [Type; 7] =
+        [Type::I1, Type::I8, Type::I16, Type::I32, Type::I64, Type::Ptr, Type::F64];
+    const VALUES: [u64; 16] = [
+        0,
+        1,
+        2,
+        7,
+        0x7F,
+        0x80,
+        0xFF,
+        0x8000,
+        0xFFFF,
+        0x7FFF_FFFF,
+        0x8000_0000,
+        0xFFFF_FFFF,
+        0x1_0000_0001,
+        i64::MAX as u64,
+        1 << 63,
+        u64::MAX,
+    ];
+
+    #[test]
+    fn type_table_reproduces_the_value_methods() {
+        for ty in TYPES {
+            let t = IntTy::of(&ty);
+            assert_eq!(t.float, ty == Type::F64);
+            for v in VALUES {
+                assert_eq!(RtVal::Int(v & t.mask), RtVal::Int(v).truncated(&ty), "{ty} {v:#x}");
+                assert_eq!(t.signed(v), RtVal::Int(v).as_signed(&ty), "{ty} {v:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_arms_match_the_reference_helpers() {
+        use BinOp::*;
+        use IcmpPred::*;
+        let bins = [Add, Sub, Mul, UDiv, SDiv, URem, SRem, And, Or, Xor, Shl, LShr, AShr];
+        let preds = [Eq, Ne, Ult, Ule, Ugt, Uge, Slt, Sle, Sgt, Sge];
+        let casts = [CastOp::Zext, CastOp::Sext, CastOp::Trunc, CastOp::PtrToInt, CastOp::IntToPtr];
+        for ty in TYPES {
+            let t = IntTy::of(&ty);
+            for x in VALUES {
+                for y in VALUES {
+                    let (a, b) = (RtVal::Int(x), RtVal::Int(y));
+                    for op in bins {
+                        if let Some(v) = int_bin(op, t, x, y) {
+                            assert_eq!(Ok(RtVal::Int(v)), exec_bin(op, &ty, a, b), "{op:?} {ty}");
+                        }
+                    }
+                    for p in preds {
+                        assert_eq!(int_icmp(p, t, x, y), exec_icmp(p, &ty, a, b), "{p:?} {ty}");
+                    }
+                }
+                for to in TYPES {
+                    for op in casts {
+                        let v = int_cast(op, t, IntTy::of(&to), x).map(RtVal::Int);
+                        assert_eq!(v, Some(exec_cast(op, RtVal::Int(x), &ty, &to)), "{op:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -71,10 +71,31 @@ impl HostCtx<'_> {
 /// `RtVal::Int(0)` for `void` helpers) or a [`Trap`].
 pub type HostFn = Rc<dyn Fn(&mut HostCtx<'_>, &[RtVal]) -> Result<RtVal, Trap>>;
 
+/// The passing case of a check helper, which the bytecode backend may run
+/// inline instead of calling the closure.
+///
+/// Registering one ([`HostRegistry::register_check`]) is a promise about
+/// the closure registered with it: whenever `pass` returns `Some(wide)` for
+/// an argument list, calling the closure with the same arguments returns
+/// `Ok` after doing exactly this and nothing else — charge `charge` into
+/// [`CostCategory::Checks`], count one `checks_executed` (plus one
+/// `checks_wide` when `wide`), and record the call's check site with
+/// `(wide, charge)`. The op ledger attributes the charge to the helper's
+/// [`crate::classify_host`] class on both paths. `None` promises nothing;
+/// the closure then runs, and it stays the only producer of violations.
+#[derive(Copy, Clone, Debug)]
+pub struct CheckFastPath {
+    /// The pass predicate over the call's arguments.
+    pub pass: fn(&[RtVal]) -> Option<bool>,
+    /// The fixed cost the helper charges per call.
+    pub charge: u64,
+}
+
 /// A registry of host functions, keyed by name.
 #[derive(Clone, Default)]
 pub struct HostRegistry {
     map: HashMap<String, HostFn>,
+    fast: HashMap<String, CheckFastPath>,
     version: u64,
 }
 
@@ -84,14 +105,30 @@ impl HostRegistry {
         HostRegistry::default()
     }
 
-    /// Registers (or replaces) a host function.
+    /// Registers (or replaces) a host function. Replacing a check helper
+    /// this way also drops its [`CheckFastPath`].
     pub fn register(
         &mut self,
         name: impl Into<String>,
         f: impl Fn(&mut HostCtx<'_>, &[RtVal]) -> Result<RtVal, Trap> + 'static,
     ) {
+        let name = name.into();
         self.version += 1;
-        self.map.insert(name.into(), Rc::new(f));
+        self.fast.remove(&name);
+        self.map.insert(name, Rc::new(f));
+    }
+
+    /// Registers (or replaces) a check helper together with the fast path
+    /// of its passing case (see [`CheckFastPath`] for the promise it makes).
+    pub fn register_check(
+        &mut self,
+        name: impl Into<String>,
+        f: impl Fn(&mut HostCtx<'_>, &[RtVal]) -> Result<RtVal, Trap> + 'static,
+        fast: CheckFastPath,
+    ) {
+        let name = name.into();
+        self.register(name.clone(), f);
+        self.fast.insert(name, fast);
     }
 
     /// A counter bumped on every [`HostRegistry::register`] call.
@@ -106,6 +143,11 @@ impl HostRegistry {
     /// Looks up a host function.
     pub fn get(&self, name: &str) -> Option<&HostFn> {
         self.map.get(name)
+    }
+
+    /// The check fast path registered with `name`, if any.
+    pub fn fast_path(&self, name: &str) -> Option<CheckFastPath> {
+        self.fast.get(name).copied()
     }
 
     /// Whether `name` is registered.
@@ -275,6 +317,26 @@ mod tests {
         let f = reg.get("print_i64").unwrap().clone();
         f(&mut ctx, &[RtVal::Int((-5i64) as u64)]).unwrap();
         assert_eq!(out, vec!["-5".to_string()]);
+    }
+
+    #[test]
+    fn check_fast_paths_follow_registration_and_image_resolution() {
+        let mut reg = HostRegistry::new();
+        let fast = CheckFastPath { pass: |_| Some(false), charge: 7 };
+        reg.register_check("__sb_check", |_ctx, _args| Ok(RtVal::Int(0)), fast);
+        assert_eq!(reg.fast_path("__sb_check").map(|f| f.charge), Some(7));
+        // Resolving a bytecode image re-arms the fast path with the closure.
+        let image = crate::BcImage {
+            host_names: vec!["__sb_check".into()],
+            host_classes: vec![crate::OpClass::CheckSb],
+            ..Default::default()
+        };
+        let armed = |reg: &HostRegistry| image.resolve(reg).unwrap().host_fast[0].is_some();
+        assert!(armed(&reg));
+        // A plain re-registration replaces the helper and drops its fast path.
+        reg.register("__sb_check", |_ctx, _args| Ok(RtVal::Int(0)));
+        assert!(reg.fast_path("__sb_check").is_none());
+        assert!(!armed(&reg));
     }
 
     #[test]

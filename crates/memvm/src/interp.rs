@@ -250,8 +250,7 @@ pub struct Vm {
     /// [`VmConfig::sample_interval`] is non-zero.
     pub(crate) sampler: Option<FlameSampler>,
     /// Cost total at which the next flamegraph sample is due; `u64::MAX`
-    /// when sampling is off. Kept as a bare field (not inside the sampler)
-    /// so the per-charge hot path is one compare with no `Option` walk.
+    /// when sampling is off. One of the thresholds behind `next_event_at`.
     pub(crate) flame_next_at: u64,
     /// Sampler frame ids pre-interned per bytecode function index
     /// (`u32::MAX` for declarations), so the bytecode call path never
@@ -266,11 +265,17 @@ pub struct Vm {
     /// from another thread and observed at budget polls.
     pub(crate) interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     /// Cost total at which the next deadline/interrupt poll is due;
-    /// `u64::MAX` when neither is installed. Same next-boundary cursor
-    /// pattern as `flame_next_at`: the per-charge hot path stays one `u64`
-    /// compare, and all the `Instant::now()`/atomic-load work lives behind
-    /// it in the cold [`Vm::poll_budget`].
+    /// `u64::MAX` when neither is installed. One of the thresholds behind
+    /// `next_event_at`, so the `Instant::now()`/atomic-load work of
+    /// [`Vm::poll_budget`] stays off the per-charge path.
     pub(crate) poll_next_at: u64,
+    /// The one budget cursor: the minimum of `flame_next_at`,
+    /// `poll_next_at` and `max_cost + 1`. Every charge is a single compare
+    /// against it, and everything behind it lives in the cold
+    /// [`Vm::budget_event`]. It may lag behind the three thresholds (an
+    /// early visit to the cold path is harmless) but never run ahead of
+    /// them; [`Vm::rearm_budget`] recomputes it.
+    pub(crate) next_event_at: u64,
 }
 
 /// Cost units between deadline/interrupt polls. Small enough that a
@@ -368,6 +373,7 @@ impl Vm {
             deadline: None,
             interrupt: None,
             poll_next_at: u64::MAX,
+            next_event_at: 0,
         })
     }
 
@@ -378,6 +384,7 @@ impl Vm {
     pub fn set_deadline(&mut self, deadline: std::time::Instant) {
         self.deadline = Some(deadline);
         self.poll_next_at = self.stats.cost_total.saturating_add(POLL_STRIDE);
+        self.rearm_budget();
     }
 
     /// Installs a cooperative cancellation flag: when another thread stores
@@ -386,6 +393,7 @@ impl Vm {
     pub fn set_interrupt(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
         self.interrupt = Some(flag);
         self.poll_next_at = self.stats.cost_total.saturating_add(POLL_STRIDE);
+        self.rearm_budget();
     }
 
     /// Mutable access to the host registry (to install runtime libraries).
@@ -451,6 +459,7 @@ impl Vm {
             Some((fid, f)) if !f.is_declaration => fid,
             _ => return Err(Trap::UnknownFunction(name.to_string())),
         };
+        self.rearm_budget();
         let ret = match self.config.backend {
             VmBackend::Walk => self.exec_function(fid, args.to_vec(), None)?,
             VmBackend::Bytecode => {
@@ -548,6 +557,25 @@ impl Vm {
         self.stats.cost_total += cost;
         self.stats.cost_app += cost;
         self.op_metrics.record(class, cost);
+        if self.stats.cost_total >= self.next_event_at {
+            self.budget_event()?;
+        }
+        Ok(())
+    }
+
+    /// Recomputes [`Vm::next_event_at`] from the three thresholds it
+    /// stands for.
+    fn rearm_budget(&mut self) {
+        self.next_event_at =
+            self.flame_next_at.min(self.poll_next_at).min(self.config.max_cost.saturating_add(1));
+    }
+
+    /// The cold half of every charge, in the fixed order: take the
+    /// flamegraph samples now due, poll the deadline/interrupt, enforce the
+    /// cost budget; then re-arm the cursor.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn budget_event(&mut self) -> Result<(), Trap> {
         if self.stats.cost_total >= self.flame_next_at {
             self.flame_sample();
         }
@@ -557,15 +585,14 @@ impl Vm {
         if self.stats.cost_total > self.config.max_cost {
             return Err(Trap::CostLimit);
         }
+        self.rearm_budget();
         Ok(())
     }
 
-    /// The cold half of the deadline/interrupt check: only reachable when a
-    /// deadline or interrupt flag is installed (`poll_next_at` is
-    /// `u64::MAX` otherwise). Advances the poll cursor by [`POLL_STRIDE`].
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn poll_budget(&mut self) -> Result<(), Trap> {
+    /// The deadline/interrupt check: only reachable when a deadline or
+    /// interrupt flag is installed (`poll_next_at` is `u64::MAX`
+    /// otherwise). Advances the poll cursor by [`POLL_STRIDE`].
+    fn poll_budget(&mut self) -> Result<(), Trap> {
         if let Some(flag) = &self.interrupt {
             if flag.load(std::sync::atomic::Ordering::Relaxed) {
                 return Err(Trap::Interrupted);
@@ -580,12 +607,10 @@ impl Vm {
         Ok(())
     }
 
-    /// The cold half of the sampling check: records every flamegraph sample
-    /// now due and advances the boundary cursor. Only reachable when a
-    /// sampler is configured (`flame_next_at` is `u64::MAX` otherwise).
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn flame_sample(&mut self) {
+    /// The sampling check: records every flamegraph sample now due and
+    /// advances the boundary cursor. Only reachable when a sampler is
+    /// configured (`flame_next_at` is `u64::MAX` otherwise).
+    fn flame_sample(&mut self) {
         let s = self.sampler.as_mut().expect("finite flame_next_at implies a sampler");
         self.flame_next_at = s.sample_until(self.flame_next_at, self.stats.cost_total);
     }
@@ -815,7 +840,8 @@ impl Vm {
                 let addr = self.eval(fid, frame, ptr, &Type::Ptr)?.as_int();
                 let width = scalar_width(ty)?;
                 let bits = self.mem.read_uint(addr, width).map_err(Self::mem_err)?;
-                Ok(Some(RtVal::from_bits(ty, bits).truncated_if_int(ty)))
+                let v = RtVal::from_bits(ty, bits);
+                Ok(Some(if ty.is_int() { v.truncated(ty) } else { v }))
             }
             InstrKind::Store { ty, value, ptr } => {
                 self.charge_app(OpClass::Store, cost.store)?;
@@ -980,11 +1006,8 @@ impl Vm {
                 s.pop();
             }
             let r = r?;
-            if self.stats.cost_total >= self.poll_next_at {
-                self.poll_budget()?;
-            }
-            if self.stats.cost_total > self.config.max_cost {
-                return Err(Trap::CostLimit);
+            if self.stats.cost_total >= self.next_event_at {
+                self.budget_event()?;
             }
             return Ok(if *ret == Type::Void { None } else { Some(r) });
         }
@@ -1012,19 +1035,6 @@ fn scalar_width(ty: &Type) -> Result<u64, Trap> {
         Type::I32 => Ok(4),
         Type::I64 | Type::F64 | Type::Ptr => Ok(8),
         other => Err(Trap::Unsupported(format!("aggregate load/store of {other}"))),
-    }
-}
-
-pub(crate) trait TruncIfInt {
-    fn truncated_if_int(self, ty: &Type) -> RtVal;
-}
-
-impl TruncIfInt for RtVal {
-    fn truncated_if_int(self, ty: &Type) -> RtVal {
-        match self {
-            RtVal::Int(_) if ty.is_int() => self.truncated(ty),
-            other => other,
-        }
     }
 }
 

@@ -56,7 +56,7 @@ pub mod value;
 
 pub use bytecode::{parse_bytecode, BcImage, BcModule, VmBackend};
 pub use cost::CostModel;
-pub use host::{CostCategory, HostCtx, HostRegistry};
+pub use host::{CheckFastPath, CostCategory, HostCtx, HostRegistry};
 pub use interp::{ExecOutcome, Trap, Vm, VmConfig};
 pub use memory::{MemCounters, Memory};
 pub use metrics::{classify_host, OpClass, OpMetrics};

@@ -255,6 +255,13 @@ impl Memory {
         if !self.is_mapped(addr, buf.len() as u64) {
             return Err(Fault { addr, width: buf.len() as u64, write: false });
         }
+        self.read_mapped(addr, buf);
+        Ok(())
+    }
+
+    /// Reads mapped bytes page by page, without the hot-slot fast path:
+    /// no cache counter moves.
+    fn read_mapped(&self, addr: u64, buf: &mut [u8]) {
         let mut a = addr;
         let mut i = 0;
         while i < buf.len() {
@@ -268,7 +275,6 @@ impl Memory {
             a += n as u64;
             i += n;
         }
-        Ok(())
     }
 
     /// Writes `buf` starting at `addr`.
@@ -300,6 +306,13 @@ impl Memory {
         if !self.is_mapped(addr, buf.len() as u64) {
             return Err(Fault { addr, width: buf.len() as u64, write: true });
         }
+        self.write_mapped(addr, buf);
+        Ok(())
+    }
+
+    /// Writes mapped bytes page by page, materializing untouched pages,
+    /// without the hot-slot fast path: only `pages_materialized` moves.
+    fn write_mapped(&mut self, addr: u64, buf: &[u8]) {
         let mut a = addr;
         let mut i = 0;
         while i < buf.len() {
@@ -321,7 +334,6 @@ impl Memory {
             a += n as u64;
             i += n;
         }
-        Ok(())
     }
 
     /// Reads a little-endian unsigned integer of `width` bytes (1..=8).
@@ -385,17 +397,64 @@ impl Memory {
         self.write(addr, &bytes[..width as usize])
     }
 
-    /// Copies `len` bytes from `src` to `dst` (regions may overlap).
+    /// Copies `len` bytes from `src` to `dst` (regions may overlap), with
+    /// the faults and cache counters of a `read` of `src` followed by a
+    /// `write` of `dst`, but without a host buffer of `len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Faults (reading `src` first, then writing `dst`) if any byte is
+    /// unmapped; nothing is written then.
     pub fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Fault> {
-        let mut buf = vec![0u8; len as usize];
-        self.read(src, &mut buf)?;
-        self.write(dst, &buf)
+        let mut chunk = [0u8; PAGE_SIZE as usize];
+        if len <= PAGE_SIZE {
+            let buf = &mut chunk[..len as usize];
+            self.read(src, buf)?;
+            return self.write(dst, buf);
+        }
+        // Spans over a page never take the single-page fast paths, so the
+        // mapping checks up front are all `read` and `write` would do
+        // besides the page walk.
+        if !self.is_mapped(src, len) {
+            return Err(Fault { addr: src, width: len, write: false });
+        }
+        if !self.is_mapped(dst, len) {
+            return Err(Fault { addr: dst, width: len, write: true });
+        }
+        // memmove order: back to front when `dst` overlaps past `src`.
+        let backward = dst > src && dst - src < len;
+        let mut done = 0;
+        while done < len {
+            let n = (len - done).min(PAGE_SIZE);
+            let off = if backward { len - done - n } else { done };
+            self.read_mapped(src + off, &mut chunk[..n as usize]);
+            self.write_mapped(dst + off, &chunk[..n as usize]);
+            done += n;
+        }
+        Ok(())
     }
 
-    /// Fills `len` bytes at `dst` with `byte`.
+    /// Fills `len` bytes at `dst` with `byte`, with the fault and cache
+    /// counters of a `write` of `len` bytes, streamed page by page.
+    ///
+    /// # Errors
+    ///
+    /// Faults if any byte is unmapped; nothing is written then.
     pub fn fill(&mut self, dst: u64, byte: u8, len: u64) -> Result<(), Fault> {
-        let buf = vec![byte; len as usize];
-        self.write(dst, &buf)
+        let chunk = [byte; PAGE_SIZE as usize];
+        if len <= PAGE_SIZE {
+            return self.write(dst, &chunk[..len as usize]);
+        }
+        if !self.is_mapped(dst, len) {
+            return Err(Fault { addr: dst, width: len, write: true });
+        }
+        let mut done = 0;
+        while done < len {
+            let n = (len - done).min(PAGE_SIZE);
+            self.write_mapped(dst + done, &chunk[..n as usize]);
+            done += n;
+        }
+        Ok(())
     }
 }
 
@@ -498,6 +557,81 @@ mod tests {
         let mut buf = [0u8; 8];
         m.read(0x1000, &mut buf).unwrap();
         assert_eq!(&buf, b"ababcdef");
+    }
+
+    #[test]
+    fn oversized_fill_and_copy_fault_without_allocating() {
+        let mut m = Memory::new();
+        m.map(0x1000, 16);
+        let huge = 100_000_000_000;
+        assert_eq!(m.fill(0x1000, 0, huge), Err(Fault { addr: 0x1000, width: huge, write: true }));
+        // The source is checked first, then the destination.
+        assert_eq!(
+            m.copy(0x1000, 0x9000, huge),
+            Err(Fault { addr: 0x9000, width: huge, write: false })
+        );
+        assert_eq!(
+            m.copy(0x9000, 0x1000, huge),
+            Err(Fault { addr: 0x1000, width: huge, write: false })
+        );
+        m.map(0x10_0000, 3 * PAGE_SIZE);
+        assert_eq!(
+            m.copy(0x9000, 0x10_0000, 2 * PAGE_SIZE),
+            Err(Fault { addr: 0x9000, width: 2 * PAGE_SIZE, write: true })
+        );
+        assert_eq!(m.counters().pages_materialized, 0, "a faulting fill or copy writes nothing");
+    }
+
+    /// The buffered reference semantics of `copy`: read all of `src`, then
+    /// write all of `dst`.
+    fn buffered_copy(m: &mut Memory, dst: u64, src: u64, len: u64) -> Result<(), Fault> {
+        let mut buf = vec![0u8; len as usize];
+        m.read(src, &mut buf)?;
+        m.write(dst, &buf)
+    }
+
+    #[test]
+    fn streamed_copy_and_fill_match_the_buffered_reference() {
+        let base = 0x20_0000;
+        let span = 6 * PAGE_SIZE;
+        let setup = || {
+            let mut m = Memory::new();
+            m.map(base, span);
+            let pattern: Vec<u8> = (0..span).map(|i| (i * 7 + i / 4099) as u8).collect();
+            // Leave the last page untouched so reads of it see zeros.
+            m.write(base, &pattern[..(span - PAGE_SIZE) as usize]).unwrap();
+            m
+        };
+        let snapshot = |m: &mut Memory| {
+            let mut buf = vec![0u8; span as usize];
+            m.read_mapped(base, &mut buf);
+            buf
+        };
+        let page = PAGE_SIZE;
+        // Overlap in both directions, disjoint spans, sub-page and
+        // multi-page lengths, unaligned ends.
+        for (dst, src, len) in [
+            (base + 3, base, 3 * page + 5),
+            (base, base + 3, 3 * page + 5),
+            (base + page + 1, base + 17, 2 * page),
+            (base + 17, base + page + 1, 2 * page),
+            (base + 4 * page, base, 2 * page - 9),
+            (base + 100, base + 40, 200),
+            (base + 2 * page - 8, base + 5 * page - 3, page),
+        ] {
+            let (mut streamed, mut buffered) = (setup(), setup());
+            streamed.copy(dst, src, len).unwrap();
+            buffered_copy(&mut buffered, dst, src, len).unwrap();
+            assert_eq!(snapshot(&mut streamed), snapshot(&mut buffered), "{dst:x} {src:x} {len}");
+            assert_eq!(streamed.counters(), buffered.counters(), "{dst:x} {src:x} {len}");
+        }
+        for (dst, len) in [(base + 5, 4 * page), (base + page, page), (base + 3, 10)] {
+            let (mut streamed, mut buffered) = (setup(), setup());
+            streamed.fill(dst, 0xA5, len).unwrap();
+            buffered.write(dst, &vec![0xA5; len as usize]).unwrap();
+            assert_eq!(snapshot(&mut streamed), snapshot(&mut buffered), "{dst:x} {len}");
+            assert_eq!(streamed.counters(), buffered.counters(), "{dst:x} {len}");
+        }
     }
 
     #[test]

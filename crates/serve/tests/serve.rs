@@ -424,3 +424,34 @@ fn hostile_request_lines_are_rejected_and_the_daemon_keeps_serving() {
     assert_eq!(exchange(&ping), ResponseBody::Ok { result: "{\"pong\":true}".into() });
     server.shutdown();
 }
+
+/// A guest `memset` far larger than its mapping is a typed segfault cell,
+/// not a host allocation that aborts the daemon: the same connection keeps
+/// being served.
+#[test]
+fn oversized_memset_is_a_segfault_cell_and_the_daemon_keeps_serving() {
+    let server = start_server("memset", ServerConfig::default());
+    let mut client = Client::connect(server.socket()).unwrap();
+    let text = "long main(void) { char *p = malloc(16); memset(p, 0, 100000000000); return 0; }";
+    let resp = client
+        .call(Op::Job {
+            spec: JobSpec {
+                source: SourceRef::Inline { name: "huge.c".into(), text: text.into() },
+                config: "baseline@O3@VectorizerStart".parse().unwrap(),
+                action: JobAction::Run,
+            },
+            deadline_ms: None,
+        })
+        .unwrap();
+    match resp.body {
+        ResponseBody::Ok { result } => {
+            assert!(result.contains("\"ok\": false"), "{result}");
+            assert!(result.contains("\"trap_kind\": \"segfault\""), "{result}");
+            assert!(result.contains("100000000000-byte write"), "{result}");
+        }
+        other => panic!("expected a trapped cell: {other:?}"),
+    }
+    let pong = client.call(Op::Ping).unwrap();
+    assert_eq!(pong.body, ResponseBody::Ok { result: "{\"pong\":true}".into() });
+    server.shutdown();
+}

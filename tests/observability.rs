@@ -17,35 +17,38 @@ use memvm::{VmBackend, VmConfig};
 use common::corpus_programs;
 
 fn sweep(jobs: usize, backend: VmBackend, interval: u64) -> Report {
-    Driver::new(corpus_programs(), fig9_configs())
+    Driver::new(corpus_programs(), paper_sweep_configs())
         .with_jobs(jobs)
         .with_vm(VmConfig { backend, sample_interval: interval, ..VmConfig::default() })
         .run()
 }
 
 /// The tentpole property: folded-stack output and the metrics registry
-/// are byte-identical between `--vm walk` and `--vm bytecode`, and
-/// across `--jobs 1` and `--jobs 4` — over the *whole corpus*, traps
-/// included.
+/// (op ledger included) are byte-identical between `--vm walk` and
+/// `--vm bytecode`, and across `--jobs 1` and `--jobs 4` — over the
+/// *whole corpus* and the whole 14-config paper sweep, traps included,
+/// with the sampler off and on.
 #[test]
 fn corpus_flame_and_metrics_identical_across_backends_and_jobs() {
-    let r_bc1 = sweep(1, VmBackend::Bytecode, 500);
-    let r_bc4 = sweep(4, VmBackend::Bytecode, 500);
-    let r_walk4 = sweep(4, VmBackend::Walk, 500);
+    for interval in [0, 500] {
+        let r_bc1 = sweep(1, VmBackend::Bytecode, interval);
+        let r_bc4 = sweep(4, VmBackend::Bytecode, interval);
+        let r_walk4 = sweep(4, VmBackend::Walk, interval);
 
-    let flame = r_bc1.flame().render();
-    assert!(!flame.is_empty(), "corpus sweep took no samples");
-    assert_eq!(flame, r_bc4.flame().render(), "flame differs across --jobs");
-    assert_eq!(flame, r_walk4.flame().render(), "flame differs across VM backends");
+        let flame = r_bc1.flame().render();
+        assert_eq!(flame.is_empty(), interval == 0, "sampling at interval {interval}");
+        assert_eq!(flame, r_bc4.flame().render(), "flame differs across --jobs");
+        assert_eq!(flame, r_walk4.flame().render(), "flame differs across VM backends");
 
-    let metrics = r_bc1.metrics().to_json();
-    assert_eq!(metrics, r_bc4.metrics().to_json(), "metrics differ across --jobs");
-    assert_eq!(metrics, r_walk4.metrics().to_json(), "metrics differ across VM backends");
-    assert_eq!(
-        r_bc1.metrics().to_prometheus(),
-        r_walk4.metrics().to_prometheus(),
-        "prometheus rendering differs across VM backends"
-    );
+        let metrics = r_bc1.metrics().to_json();
+        assert_eq!(metrics, r_bc4.metrics().to_json(), "metrics differ across --jobs");
+        assert_eq!(metrics, r_walk4.metrics().to_json(), "metrics differ across VM backends");
+        assert_eq!(
+            r_bc1.metrics().to_prometheus(),
+            r_walk4.metrics().to_prometheus(),
+            "prometheus rendering differs across VM backends"
+        );
+    }
 }
 
 /// Every frame of every sampled stack names a function of the compiled

@@ -12,8 +12,13 @@
 
 mod common;
 
+use std::time::{Duration, Instant};
+
 use bench::driver::{paper_sweep_configs, Driver, Report};
-use memvm::{VmBackend, VmConfig};
+use meminstrument::runtime::CompiledProgram;
+use meminstrument::Mechanism;
+use memvm::interp::{ExecOutcome, Trap};
+use memvm::{BcImage, OpMetrics, SiteProfile, VmBackend, VmConfig, VmStats};
 
 use common::corpus_programs;
 
@@ -98,4 +103,93 @@ fn trap_provenance_is_identical_across_backends() {
     let (wt, bt) = (traps(&walk), traps(&bytecode));
     assert!(!wt.is_empty(), "corpus sweep should produce traps");
     assert_eq!(wt, bt);
+}
+
+/// Everything one run exposes, trapped or not.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    result: Result<ExecOutcome, Trap>,
+    stats: VmStats,
+    profile: SiteProfile,
+    ledger: OpMetrics,
+    flame: Option<String>,
+}
+
+/// Runs `main` on the walker (`image` = `None`) or on the bytecode VM
+/// adopting `image` — the daemon's path, which re-arms the runtime's
+/// check fast paths from the registry.
+fn observe(
+    prog: &CompiledProgram,
+    image: Option<&BcImage>,
+    cfg: VmConfig,
+    deadline: bool,
+) -> Observed {
+    let backend = if image.is_some() { VmBackend::Bytecode } else { VmBackend::Walk };
+    let mut vm = prog.make_vm(VmConfig { backend, ..cfg }).unwrap();
+    if let Some(image) = image {
+        vm.adopt_bytecode(image).unwrap();
+    }
+    if deadline {
+        vm.set_deadline(Instant::now() + Duration::from_secs(3600));
+    }
+    let result = vm.run("main", &[]);
+    Observed {
+        result,
+        stats: vm.stats().clone(),
+        profile: vm.profile().clone(),
+        ledger: vm.op_metrics().clone(),
+        flame: vm.flame().map(|f| f.render()),
+    }
+}
+
+/// The bytecode VM runs passing SoftBound/Low-Fat checks inline and hands
+/// every other case to the runtime's closure. The hand-over must be
+/// invisible: under every SoftBound/Low-Fat sweep configuration, with the
+/// cost budget ending inside, just before and just after check charges,
+/// with a deadline installed, and with flamegraph samples falling due at
+/// every charge (interval 1), often (7) and rarely (500), the walker and
+/// the bytecode VM agree on the result or trap, `VmStats`, the site
+/// profile, the op ledger and the flamegraph.
+#[test]
+fn check_fast_path_hands_over_to_the_closure_invisibly() {
+    const WINDOW: u64 = 24;
+    let configs: Vec<_> = paper_sweep_configs()
+        .into_iter()
+        .filter(|c| matches!(c.mechanism_kind(), Some(Mechanism::SoftBound | Mechanism::LowFat)))
+        .collect();
+    assert_eq!(configs.len(), 12);
+    let (mut windows, mut straddling) = (0, 0);
+    for p in corpus_programs() {
+        let module = cfront::compile_named(&p.source, &p.name)
+            .unwrap_or_else(|e| panic!("{}: frontend error: {e}", p.name));
+        for inst in &configs {
+            let cell = format!("{} [{inst}]", p.name);
+            let prog = inst.compile(module.clone(), None);
+            let base = inst.vm_config();
+            let image = prog.make_vm(base).unwrap().bytecode_image();
+            let both = |cfg: VmConfig, deadline: bool| {
+                let walk = observe(&prog, None, cfg, deadline);
+                assert_eq!(walk, observe(&prog, Some(&image), cfg, deadline), "{cell} {cfg:?}");
+                walk
+            };
+            let full = both(base, true);
+            for interval in [1, 7, 500] {
+                both(VmConfig { sample_interval: interval, ..base }, false);
+            }
+            if full.stats.checks_executed == 0 {
+                continue;
+            }
+            // A window of budgets halfway through the run: consecutive
+            // limits end the run before, inside and after check charges.
+            let mid = full.stats.cost_total / 2;
+            let mut checks_seen = std::collections::BTreeSet::new();
+            for max_cost in mid..mid + WINDOW {
+                let cut = both(VmConfig { max_cost, ..base }, false);
+                checks_seen.insert(cut.stats.checks_executed);
+            }
+            windows += 1;
+            straddling += usize::from(checks_seen.len() > 1);
+        }
+    }
+    assert!(straddling * 2 >= windows, "only {straddling} of {windows} budget windows cut a check");
 }

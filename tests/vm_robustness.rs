@@ -117,6 +117,48 @@ fn unmapped_access_traps_identically_on_both_backends() {
 }
 
 #[test]
+fn oversized_memset_and_memcpy_fault_instead_of_aborting() {
+    // A guest length far beyond the mapping must fault like hardware, not
+    // make the host allocate it: a 100 GB memset/memcpy on a 16-byte heap
+    // block is an UnmappedAccess of the whole span (memcpy reads its
+    // source first), on both backends.
+    const HUGE: u64 = 100_000_000_000;
+    let fill = format!(
+        r#"
+        define i64 @main() {{
+        entry:
+          %p = call ptr @malloc(i64 16)
+          memset %p, i8 0, i64 {HUGE}
+          ret i64 0
+        }}
+    "#
+    );
+    let copy = format!(
+        r#"
+        define i64 @main() {{
+        entry:
+          %p = call ptr @malloc(i64 16)
+          %q = call ptr @malloc(i64 16)
+          memcpy %q, %p, i64 {HUGE}
+          ret i64 0
+        }}
+    "#
+    );
+    for (src, write) in [(fill, true), (copy, false)] {
+        let walk = run_src_on(&src, VmBackend::Walk);
+        assert!(
+            matches!(
+                &walk,
+                Err(Trap::UnmappedAccess { addr: 0xe000_0000_0000, width: HUGE, write: w, .. })
+                    if *w == write
+            ),
+            "{walk:?}"
+        );
+        assert_eq!(walk, run_src_on(&src, VmBackend::Bytecode));
+    }
+}
+
+#[test]
 fn oversized_allocation_behaves_identically_on_both_backends() {
     // A 32 GiB alloca: the sparse interval memory makes this legal, and
     // both backends must agree on the resulting layout and statistics.
