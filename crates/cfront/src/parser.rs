@@ -10,13 +10,24 @@ use crate::CError;
 ///
 /// Returns a [`CError`] on syntax errors.
 pub fn parse(tokens: Vec<Token>) -> Result<Unit, CError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     p.parse_unit()
 }
+
+/// The deepest nesting the parser accepts. Statements, unary operands
+/// (which include parenthesised expressions), the right-hand sides of
+/// assignment and conditional chains, and each operator of a binary chain
+/// add one level; pointer stars and array dimensions are capped at the
+/// same count per type. Past it, parsing fails with a [`CError`] instead
+/// of the recursive descent (or codegen's walk of the tree it built)
+/// overflowing the stack.
+pub const MAX_NESTING: usize = 128;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -69,9 +80,35 @@ impl Parser {
         CError::new(self.line(), message.into())
     }
 
+    /// Enters one nesting level. Callers leave with `self.depth -= 1`; an
+    /// error ends the parse, so error paths need not restore the count.
+    fn enter(&mut self) -> Result<(), CError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    fn too_deep(&self) -> CError {
+        self.err(format!("nesting deeper than {MAX_NESTING}"))
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T, CError>) -> Result<T, CError> {
+        self.enter()?;
+        let r = f(self)?;
+        self.depth -= 1;
+        Ok(r)
+    }
+
     fn is_type_start(&self) -> bool {
+        Self::starts_type(self.peek())
+    }
+
+    fn starts_type(tok: &Tok) -> bool {
         matches!(
-            self.peek(),
+            tok,
             Tok::KwVoid
                 | Tok::KwChar
                 | Tok::KwShort
@@ -95,10 +132,13 @@ impl Parser {
             other => return Err(self.err(format!("expected type, found {other:?}"))),
         };
         let mut ty = base;
-        while self.eat(&Tok::Star) {
+        for _ in 0..=MAX_NESTING {
+            if !self.eat(&Tok::Star) {
+                return Ok(ty);
+            }
             ty = ty.ptr_to();
         }
-        Ok(ty)
+        Err(self.too_deep())
     }
 
     fn parse_unit(&mut self) -> Result<Unit, CError> {
@@ -229,6 +269,9 @@ impl Parser {
     fn parse_array_suffix(&mut self, base: CType, allow_empty: bool) -> Result<CType, CError> {
         let mut dims = Vec::new();
         while self.eat(&Tok::LBracket) {
+            if dims.len() == MAX_NESTING {
+                return Err(self.too_deep());
+            }
             if self.eat(&Tok::RBracket) {
                 if !allow_empty {
                     return Err(self.err("array size required"));
@@ -251,6 +294,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, CError> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> Result<Stmt, CError> {
         let line = self.line();
         match self.peek() {
             Tok::LBrace => {
@@ -352,7 +399,7 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.parse_assign()?;
+        let rhs = self.nested(Self::parse_assign)?;
         Ok(Expr {
             line,
             kind: match op {
@@ -368,7 +415,7 @@ impl Parser {
         if self.eat(&Tok::Question) {
             let a = self.parse_expr()?;
             self.expect(Tok::Colon)?;
-            let b = self.parse_conditional()?;
+            let b = self.nested(Self::parse_conditional)?;
             Ok(Expr { line, kind: ExprKind::Conditional(Box::new(cond), Box::new(a), Box::new(b)) })
         } else {
             Ok(cond)
@@ -402,10 +449,13 @@ impl Parser {
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, CError> {
         let mut lhs = self.parse_unary()?;
+        // Each fold deepens the left-leaning tree by one level.
+        let base = self.depth;
         while let Some((prec, op)) = Self::binop_for(self.peek()) {
             if prec < min_prec {
                 break;
             }
+            self.enter()?;
             let line = self.line();
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
@@ -418,60 +468,43 @@ impl Parser {
                 },
             };
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, CError> {
+        self.nested(Self::parse_unary_here)
+    }
+
+    fn parse_unary_here(&mut self) -> Result<Expr, CError> {
         let line = self.line();
-        match self.peek() {
-            Tok::Minus => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr { line, kind: ExprKind::Unary(UnaryOp::Neg, Box::new(e)) })
-            }
-            Tok::Bang => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr { line, kind: ExprKind::Unary(UnaryOp::Not, Box::new(e)) })
-            }
-            Tok::Tilde => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr { line, kind: ExprKind::Unary(UnaryOp::BitNot, Box::new(e)) })
-            }
-            Tok::Star => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr { line, kind: ExprKind::Deref(Box::new(e)) })
-            }
-            Tok::Amp => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr { line, kind: ExprKind::AddrOf(Box::new(e)) })
-            }
+        let wrap: fn(Box<Expr>) -> ExprKind = match self.peek() {
+            Tok::Minus => |e| ExprKind::Unary(UnaryOp::Neg, e),
+            Tok::Bang => |e| ExprKind::Unary(UnaryOp::Not, e),
+            Tok::Tilde => |e| ExprKind::Unary(UnaryOp::BitNot, e),
+            Tok::Star => ExprKind::Deref,
+            Tok::Amp => ExprKind::AddrOf,
             Tok::KwSizeof => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let ty = self.parse_type()?;
                 let ty = self.parse_array_suffix(ty, false)?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr { line, kind: ExprKind::SizeofType(ty) })
+                return Ok(Expr { line, kind: ExprKind::SizeofType(ty) });
             }
-            Tok::LParen => {
-                // Cast or parenthesized expression.
-                let save = self.pos;
+            Tok::LParen if Self::starts_type(self.peek2()) => {
                 self.bump();
-                if self.is_type_start() {
-                    let ty = self.parse_type()?;
-                    self.expect(Tok::RParen)?;
-                    let e = self.parse_unary()?;
-                    return Ok(Expr { line, kind: ExprKind::Cast(ty, Box::new(e)) });
-                }
-                self.pos = save;
-                self.parse_postfix()
+                let ty = self.parse_type()?;
+                self.expect(Tok::RParen)?;
+                let e = self.parse_unary()?;
+                return Ok(Expr { line, kind: ExprKind::Cast(ty, Box::new(e)) });
             }
-            _ => self.parse_postfix(),
-        }
+            // A parenthesized expression is a primary.
+            _ => return self.parse_postfix(),
+        };
+        self.bump();
+        let e = self.parse_unary()?;
+        Ok(Expr { line, kind: wrap(Box::new(e)) })
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, CError> {
@@ -639,6 +672,48 @@ mod tests {
     fn error_messages_have_lines() {
         let e = parse(lex("long f(void) {\n  return +;\n}").unwrap()).unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    /// Every nesting path compiles at exactly [`MAX_NESTING`] levels and is
+    /// a [`CError`] one level deeper; `return 1;` alone takes two (the
+    /// statement and its operand). Unoptimized builds have the largest
+    /// frames, so this passing on a default test thread is the evidence
+    /// that the bound fits a 2 MiB stack.
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        let cases = [
+            ("(", ")", false),
+            ("-", "", false),
+            ("(long)", "", false),
+            ("w[", "]", false),
+            ("1 + ", "", false),
+            ("1 ? 1 : ", "", false),
+            ("v = ", "", false),
+            ("{", "}", true),
+            ("if (1) ", "", true),
+        ];
+        let too_deep = format!("nesting deeper than {MAX_NESTING}");
+        for (open, close, stmt) in cases {
+            let program = |n: usize| {
+                let (open, close) = (open.repeat(n), close.repeat(n));
+                let body = if stmt {
+                    format!("{open}return 1;{close}")
+                } else {
+                    format!("return {open}1{close};")
+                };
+                format!("long v; long w[1]; long main(void) {{ {body} }}")
+            };
+            let n = MAX_NESTING - 2;
+            crate::compile(&program(n)).unwrap_or_else(|e| panic!("{open} x{n}: {e}"));
+            let e = crate::compile(&program(n + 1)).unwrap_err();
+            assert_eq!(e.message, too_deep, "{open}");
+        }
+        let n = MAX_NESTING + 1;
+        for decl in [format!("long {}p", "*".repeat(n)), format!("long a{}", "[1]".repeat(n))] {
+            let e =
+                crate::compile(&format!("long main(void) {{ {decl}; return 0; }}")).unwrap_err();
+            assert_eq!(e.message, too_deep);
+        }
     }
 
     #[test]

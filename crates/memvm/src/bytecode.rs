@@ -22,15 +22,8 @@
 //! values and provenance annotations. `tests/vm_backend.rs` enforces this
 //! byte-for-byte over the whole corpus; the walker remains the reference
 //! semantics.
-//!
-//! Compiled code can be disassembled to a stable textual form
-//! ([`BcModule::disassemble`]) and parsed back ([`parse_bytecode`]), which
-//! the property tests use to check the encoding round-trips. A parsed
-//! module carries no host-function closures and therefore cannot be
-//! executed; it exists for structural comparison only.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use mir::instr::{BinOp, CastOp, FcmpPred, IcmpPred, InstrKind, Operand, Terminator};
 use mir::module::Module;
@@ -388,7 +381,7 @@ impl BcFunc {
     /// Rebuilds the derived tables: the initial-frame template and the
     /// per-type scalar facts. Must be called after constructing or
     /// mutating `nregs`/`float_regs`/`types`.
-    pub fn seal(&mut self) {
+    fn seal(&mut self) {
         let mut init = vec![RtVal::Int(0); self.nregs as usize];
         for &r in &self.float_regs {
             if let Some(slot) = init.get_mut(r as usize) {
@@ -412,11 +405,11 @@ impl std::fmt::Debug for BcFunc {
 
 /// A compiled module: one [`BcFunc`] per defined function, plus the shared
 /// pools the opcodes reference.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct BcModule {
     /// Compiled bodies, indexed by function ID (`None` for declarations).
     pub funcs: Vec<Option<BcFunc>>,
-    /// Snapshot of the resolved host functions (empty in parsed modules).
+    /// Snapshot of the resolved host functions.
     pub hosts: Vec<HostFn>,
     /// Names of the snapshot entries, parallel to `hosts`.
     pub host_names: Vec<String>,
@@ -424,7 +417,7 @@ pub struct BcModule {
     /// (pre-computed so the dispatch loop never classifies by name).
     pub host_classes: Vec<OpClass>,
     /// Check fast path of each snapshot entry, parallel to `hosts` (`None`
-    /// for helpers registered without one, and in parsed modules).
+    /// for helpers registered without one).
     pub host_fast: Vec<Option<CheckFastPath>>,
     /// Pool of unknown-function names referenced by `Src::BadFunc`,
     /// `Op::CallUnknown` and `CallTarget::Unknown`.
@@ -1369,805 +1362,4 @@ impl BcModule {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Disassembly
-// ---------------------------------------------------------------------------
-
-fn src_tok(s: Src) -> String {
-    match s {
-        Src::Reg(r) => format!("r{r}"),
-        Src::Const(c) => format!("c{c}"),
-        Src::BadFunc(n) => format!("n{n}"),
-    }
-}
-
-fn edge_tok(e: u32) -> String {
-    if e == NO_EDGE {
-        "-".to_string()
-    } else {
-        e.to_string()
-    }
-}
-
-fn site_tok(s: u32) -> String {
-    if s == NO_SITE {
-        "-".to_string()
-    } else {
-        s.to_string()
-    }
-}
-
-fn spec_tok(s: &IdxSpec) -> String {
-    match s {
-        IdxSpec::RawConst(v) => format!("k{v}"),
-        IdxSpec::Signed(t) => format!("s{t}"),
-        IdxSpec::Unsigned => "u".to_string(),
-    }
-}
-
-fn list_tok(srcs: &[Src]) -> String {
-    let items: Vec<String> = srcs.iter().map(|s| src_tok(*s)).collect();
-    format!("[{}]", items.join(","))
-}
-
-impl BcModule {
-    /// Renders the compiled module in a stable textual form that
-    /// [`parse_bytecode`] reads back. Host-function *closures* are not part
-    /// of the text (only their names), so a parsed module cannot execute.
-    pub fn disassemble(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "bcmodule nfuncs={} nsites={}", self.funcs.len(), self.nsites);
-        for (i, n) in self.names.iter().enumerate() {
-            let _ = writeln!(s, "name n{i} @{n}");
-        }
-        for (i, n) in self.host_names.iter().enumerate() {
-            let _ = writeln!(s, "host h{i} @{n}");
-        }
-        if !self.targets.is_empty() {
-            let toks: Vec<String> = self
-                .targets
-                .iter()
-                .map(|t| match t {
-                    CallTarget::Static(i) => format!("s{i}"),
-                    CallTarget::Host(i) => format!("h{i}"),
-                    CallTarget::Unknown(i) => format!("u{i}"),
-                })
-                .collect();
-            let _ = writeln!(s, "targets {}", toks.join(" "));
-        }
-        for (fid, bf) in self.funcs.iter().enumerate() {
-            let Some(bf) = bf else { continue };
-            let _ =
-                writeln!(s, "func {fid} @{} nregs={} nparams={}", bf.name, bf.nregs, bf.nparams);
-            for (i, t) in bf.types.iter().enumerate() {
-                let _ = writeln!(s, "ftype t{i} {t}");
-            }
-            for (i, c) in bf.consts.iter().enumerate() {
-                match c {
-                    RtVal::Int(v) => {
-                        let _ = writeln!(s, "fconst c{i} i 0x{v:x}");
-                    }
-                    RtVal::Float(f) => {
-                        let _ = writeln!(s, "fconst c{i} f 0x{:016x}", f.to_bits());
-                    }
-                }
-            }
-            if !bf.float_regs.is_empty() {
-                let toks: Vec<String> = bf.float_regs.iter().map(|r| r.to_string()).collect();
-                let _ = writeln!(s, "fregs {}", toks.join(" "));
-            }
-            for (i, e) in bf.edges.iter().enumerate() {
-                let _ = write!(s, "edge {i}");
-                for m in e.iter() {
-                    match m {
-                        MoveEntry::Move { dst, src } => {
-                            let _ = write!(s, " mv {dst} {}", src_tok(*src));
-                        }
-                        MoveEntry::Missing(msg) => {
-                            let _ = write!(s, " miss {:?}", &**msg);
-                        }
-                    }
-                }
-                s.push('\n');
-            }
-            for (pc, op) in bf.ops.iter().enumerate() {
-                match bf.locs[pc] {
-                    Some(l) => {
-                        let _ = write!(s, "op@{l} ");
-                    }
-                    None => s.push_str("op "),
-                }
-                let _ = writeln!(s, "{}", disasm_op(op));
-            }
-        }
-        s
-    }
-}
-
-fn disasm_op(op: &Op) -> String {
-    match op {
-        Op::Alloca { dst, size, count } => {
-            format!("alloca d={dst} size={size} count={}", src_tok(*count))
-        }
-        Op::Load { dst, ty, width, ptr } => {
-            format!("load d={dst} ty=t{ty} w={width} p={}", src_tok(*ptr))
-        }
-        Op::Store { width, ptr, val } => {
-            format!("store w={width} p={} v={}", src_tok(*ptr), src_tok(*val))
-        }
-        Op::Gep { dst, base, off, terms } => {
-            let ts: Vec<String> = terms
-                .iter()
-                .map(|t| format!("{}:{}:{}", src_tok(t.src), spec_tok(&t.spec), t.size))
-                .collect();
-            format!("gep d={dst} base={} off=0x{off:x} terms=[{}]", src_tok(*base), ts.join(","))
-        }
-        Op::GepDyn { dst, elem_ty, base, indices } => {
-            let ts: Vec<String> = indices
-                .iter()
-                .map(|(s, spec)| format!("{}:{}", src_tok(*s), spec_tok(spec)))
-                .collect();
-            format!("gepdyn d={dst} ety=t{elem_ty} base={} idx=[{}]", src_tok(*base), ts.join(","))
-        }
-        Op::Select { dst, cond, t, e } => {
-            format!("select d={dst} c={} t={} e={}", src_tok(*cond), src_tok(*t), src_tok(*e))
-        }
-        Op::Bin { dst, op, ty, lhs, rhs } => format!(
-            "bin d={dst} o={} ty=t{ty} l={} r={}",
-            op.mnemonic(),
-            src_tok(*lhs),
-            src_tok(*rhs)
-        ),
-        Op::Icmp { dst, pred, ty, lhs, rhs } => format!(
-            "icmp d={dst} o={} ty=t{ty} l={} r={}",
-            pred.mnemonic(),
-            src_tok(*lhs),
-            src_tok(*rhs)
-        ),
-        Op::Fcmp { dst, pred, lhs, rhs } => {
-            format!("fcmp d={dst} o={} l={} r={}", pred.mnemonic(), src_tok(*lhs), src_tok(*rhs))
-        }
-        Op::Cast { dst, op, from, to, val } => {
-            format!("cast d={dst} o={} from=t{from} to=t{to} v={}", op.mnemonic(), src_tok(*val))
-        }
-        Op::CallStatic { dst, fid, charge, args } => {
-            format!("call d={dst} f={fid} charge={charge} args={}", list_tok(args))
-        }
-        Op::CallHost { dst, host, void, args } => {
-            format!("callhost d={dst} h={host} void={} args={}", *void as u8, list_tok(args))
-        }
-        Op::SbCheck(co) => format!("sbcheck {}", disasm_check(co)),
-        Op::LfCheck(co) => format!("lfcheck {}", disasm_check(co)),
-        Op::RzCheck(co) => format!("rzcheck {}", disasm_check(co)),
-        Op::LfInvariant(co) => format!("lfinv {}", disasm_check(co)),
-        Op::CallUnknown { name, args } => {
-            format!("callunknown name=n{name} args={}", list_tok(args))
-        }
-        Op::CallIndirect { dst, void, charge, callee, args } => format!(
-            "callind d={dst} void={} charge={charge} callee={} args={}",
-            *void as u8,
-            src_tok(*callee),
-            list_tok(args)
-        ),
-        Op::MemCpy { dst, src, len } => {
-            format!("memcpy d={} s={} n={}", src_tok(*dst), src_tok(*src), src_tok(*len))
-        }
-        Op::MemSet { dst, byte, len } => {
-            format!("memset d={} b={} n={}", src_tok(*dst), src_tok(*byte), src_tok(*len))
-        }
-        Op::Nop => "nop".to_string(),
-        Op::TrapUnsupported { charge, class, pre, msg } => {
-            format!(
-                "trap charge={charge} class={} pre={} msg={:?}",
-                class.name(),
-                list_tok(pre),
-                &**msg
-            )
-        }
-        Op::Ret { val } => match val {
-            Some(v) => format!("ret v={}", src_tok(*v)),
-            None => "ret".to_string(),
-        },
-        Op::Br { target, edge } => format!("br t={target} e={}", edge_tok(*edge)),
-        Op::CondBr { cond, tt, te, et, ee } => format!(
-            "condbr c={} tt={tt} te={} et={et} ee={}",
-            src_tok(*cond),
-            edge_tok(*te),
-            edge_tok(*ee)
-        ),
-        Op::Unreachable => "unreachable".to_string(),
-    }
-}
-
-fn disasm_check(co: &CheckOp) -> String {
-    format!("h={} n={} site={} args={}", co.host, co.n, site_tok(co.site), list_tok(&co.args))
-}
-
-// ---------------------------------------------------------------------------
-// Parsing (round-trip of the disassembly)
-// ---------------------------------------------------------------------------
-
-fn parse_src(tok: &str) -> Result<Src, String> {
-    let (tag, rest) = tok.split_at(1);
-    let n: u32 = rest.parse().map_err(|_| format!("bad src token `{tok}`"))?;
-    match tag {
-        "r" => Ok(Src::Reg(n)),
-        "c" => Ok(Src::Const(n)),
-        "n" => Ok(Src::BadFunc(n)),
-        _ => Err(format!("bad src token `{tok}`")),
-    }
-}
-
-fn parse_spec(tok: &str) -> Result<IdxSpec, String> {
-    if tok == "u" {
-        return Ok(IdxSpec::Unsigned);
-    }
-    let (tag, rest) = tok.split_at(1);
-    match tag {
-        "s" => Ok(IdxSpec::Signed(rest.parse().map_err(|_| format!("bad spec `{tok}`"))?)),
-        "k" => Ok(IdxSpec::RawConst(rest.parse().map_err(|_| format!("bad spec `{tok}`"))?)),
-        _ => Err(format!("bad spec token `{tok}`")),
-    }
-}
-
-fn parse_edge_ref(tok: &str) -> Result<u32, String> {
-    if tok == "-" {
-        Ok(NO_EDGE)
-    } else {
-        tok.parse().map_err(|_| format!("bad edge ref `{tok}`"))
-    }
-}
-
-fn parse_site(tok: &str) -> Result<u32, String> {
-    if tok == "-" {
-        Ok(NO_SITE)
-    } else {
-        tok.parse().map_err(|_| format!("bad site `{tok}`"))
-    }
-}
-
-fn parse_list(tok: &str) -> Result<Vec<Src>, String> {
-    let inner = tok
-        .strip_prefix('[')
-        .and_then(|t| t.strip_suffix(']'))
-        .ok_or_else(|| format!("bad list `{tok}`"))?;
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    inner.split(',').map(parse_src).collect()
-}
-
-fn parse_u64_tok(tok: &str) -> Result<u64, String> {
-    if let Some(hex) = tok.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).map_err(|_| format!("bad number `{tok}`"))
-    } else {
-        tok.parse().map_err(|_| format!("bad number `{tok}`"))
-    }
-}
-
-fn parse_tid(tok: &str) -> Result<u32, String> {
-    tok.strip_prefix('t')
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| format!("bad type ref `{tok}`"))
-}
-
-/// Unescapes a Rust-debug-style quoted string (`"..."`).
-fn unquote(tok: &str) -> Result<String, String> {
-    let inner = tok
-        .strip_prefix('"')
-        .and_then(|t| t.strip_suffix('"'))
-        .ok_or_else(|| format!("expected quoted string, got `{tok}`"))?;
-    let mut out = String::new();
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('0') => out.push('\0'),
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('\'') => out.push('\''),
-            Some('u') => {
-                let hex: String = chars.by_ref().skip(1).take_while(|&c| c != '}').collect();
-                let v = u32::from_str_radix(&hex, 16)
-                    .map_err(|_| format!("bad \\u escape in `{tok}`"))?;
-                out.push(char::from_u32(v).ok_or("bad \\u codepoint")?);
-            }
-            Some('x') => {
-                let h1 = chars.next().ok_or("bad \\x escape")?;
-                let h2 = chars.next().ok_or("bad \\x escape")?;
-                let v = u32::from_str_radix(&format!("{h1}{h2}"), 16)
-                    .map_err(|_| "bad \\x escape".to_string())?;
-                out.push(char::from_u32(v).ok_or("bad \\x codepoint")?);
-            }
-            other => return Err(format!("bad escape `\\{other:?}`")),
-        }
-    }
-    Ok(out)
-}
-
-/// Parses a type in the `mir` display grammar (`i64`, `ptr`, `[4 x i8]`,
-/// `{ i8, i64 }`, ...).
-fn parse_type(s: &str) -> Result<Type, String> {
-    let (t, rest) = parse_type_inner(s.trim())?;
-    if !rest.trim().is_empty() {
-        return Err(format!("trailing input after type: `{rest}`"));
-    }
-    Ok(t)
-}
-
-fn parse_type_inner(s: &str) -> Result<(Type, &str), String> {
-    let s = s.trim_start();
-    if let Some(rest) = s.strip_prefix('[') {
-        // [N x T]
-        let rest = rest.trim_start();
-        let num_end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-        let n: u64 = rest[..num_end].parse().map_err(|_| "bad array length".to_string())?;
-        let rest =
-            rest[num_end..].trim_start().strip_prefix('x').ok_or("expected `x` in array type")?;
-        let (elem, rest) = parse_type_inner(rest)?;
-        let rest = rest.trim_start().strip_prefix(']').ok_or("expected `]` closing array type")?;
-        return Ok((Type::array(elem, n), rest));
-    }
-    if let Some(mut rest) = s.strip_prefix('{') {
-        let mut fields = Vec::new();
-        loop {
-            rest = rest.trim_start();
-            if let Some(r) = rest.strip_prefix('}') {
-                return Ok((Type::structure(fields), r));
-            }
-            let (f, r) = parse_type_inner(rest)?;
-            fields.push(f);
-            rest = r.trim_start();
-            if let Some(r) = rest.strip_prefix(',') {
-                rest = r;
-            }
-        }
-    }
-    for (name, ty) in [
-        ("void", Type::Void),
-        ("i16", Type::I16),
-        ("i32", Type::I32),
-        ("i64", Type::I64),
-        ("i1", Type::I1),
-        ("i8", Type::I8),
-        ("f64", Type::F64),
-        ("ptr", Type::Ptr),
-    ] {
-        if let Some(rest) = s.strip_prefix(name) {
-            return Ok((ty, rest));
-        }
-    }
-    Err(format!("unknown type at `{s}`"))
-}
-
-fn parse_bin_op(tok: &str) -> Result<BinOp, String> {
-    use BinOp::*;
-    for op in [
-        Add, Sub, Mul, SDiv, UDiv, SRem, URem, And, Or, Xor, Shl, LShr, AShr, FAdd, FSub, FMul,
-        FDiv,
-    ] {
-        if op.mnemonic() == tok {
-            return Ok(op);
-        }
-    }
-    Err(format!("unknown bin op `{tok}`"))
-}
-
-fn parse_icmp_pred(tok: &str) -> Result<IcmpPred, String> {
-    use IcmpPred::*;
-    for p in [Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge] {
-        if p.mnemonic() == tok {
-            return Ok(p);
-        }
-    }
-    Err(format!("unknown icmp pred `{tok}`"))
-}
-
-fn parse_fcmp_pred(tok: &str) -> Result<FcmpPred, String> {
-    use FcmpPred::*;
-    for p in [Oeq, One, Olt, Ole, Ogt, Oge] {
-        if p.mnemonic() == tok {
-            return Ok(p);
-        }
-    }
-    Err(format!("unknown fcmp pred `{tok}`"))
-}
-
-fn parse_cast_op(tok: &str) -> Result<CastOp, String> {
-    use CastOp::*;
-    for op in [Zext, Sext, Trunc, PtrToInt, IntToPtr, Bitcast, SiToFp, FpToSi] {
-        if op.mnemonic() == tok {
-            return Ok(op);
-        }
-    }
-    Err(format!("unknown cast op `{tok}`"))
-}
-
-/// Key=value accessor over an op line's tokens.
-struct Fields<'a> {
-    toks: &'a [&'a str],
-}
-
-impl<'a> Fields<'a> {
-    fn get(&self, key: &str) -> Result<&'a str, String> {
-        for t in self.toks {
-            if let Some(v) = t.strip_prefix(key) {
-                if let Some(v) = v.strip_prefix('=') {
-                    return Ok(v);
-                }
-            }
-        }
-        Err(format!("missing field `{key}`"))
-    }
-    fn reg(&self, key: &str) -> Result<u32, String> {
-        self.get(key)?.parse().map_err(|_| format!("bad register in `{key}`"))
-    }
-    fn num(&self, key: &str) -> Result<u64, String> {
-        parse_u64_tok(self.get(key)?)
-    }
-    fn src(&self, key: &str) -> Result<Src, String> {
-        parse_src(self.get(key)?)
-    }
-    fn list(&self, key: &str) -> Result<Vec<Src>, String> {
-        parse_list(self.get(key)?)
-    }
-    fn tid(&self, key: &str) -> Result<u32, String> {
-        parse_tid(self.get(key)?)
-    }
-    fn boolean(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            other => Err(format!("bad bool `{other}`")),
-        }
-    }
-}
-
-fn parse_check(f: &Fields<'_>) -> Result<CheckOp, String> {
-    let args_v = f.list("args")?;
-    if args_v.len() != 5 {
-        return Err("check op must carry exactly 5 arg slots".into());
-    }
-    let mut args = [Src::Const(0); 5];
-    args.copy_from_slice(&args_v);
-    Ok(CheckOp {
-        host: f.num("h")? as u32,
-        args,
-        n: f.num("n")? as u8,
-        site: parse_site(f.get("site")?)?,
-    })
-}
-
-fn parse_op(line: &str) -> Result<Op, String> {
-    // `msg="..."` (always the last field) may contain spaces: split it off
-    // before tokenizing.
-    let (head, msg) = match line.find(" msg=") {
-        Some(i) => (&line[..i], Some(unquote(line[i + 5..].trim())?)),
-        None => (line, None),
-    };
-    let toks: Vec<&str> = head.split_whitespace().collect();
-    let (&mn, rest) = toks.split_first().ok_or("empty op line")?;
-    let f = Fields { toks: rest };
-    Ok(match mn {
-        "alloca" => Op::Alloca { dst: f.reg("d")?, size: f.num("size")?, count: f.src("count")? },
-        "load" => {
-            Op::Load { dst: f.reg("d")?, ty: f.tid("ty")?, width: f.num("w")?, ptr: f.src("p")? }
-        }
-        "store" => Op::Store { width: f.num("w")?, ptr: f.src("p")?, val: f.src("v")? },
-        "gep" => {
-            let terms_tok = f.get("terms")?;
-            let inner = terms_tok
-                .strip_prefix('[')
-                .and_then(|t| t.strip_suffix(']'))
-                .ok_or("bad terms list")?;
-            let mut terms = Vec::new();
-            if !inner.is_empty() {
-                for t in inner.split(',') {
-                    let mut parts = t.splitn(3, ':');
-                    let src = parse_src(parts.next().ok_or("bad term")?)?;
-                    let spec = parse_spec(parts.next().ok_or("bad term")?)?;
-                    let size: i64 =
-                        parts.next().ok_or("bad term")?.parse().map_err(|_| "bad term size")?;
-                    terms.push(GepTerm { src, spec, size });
-                }
-            }
-            Op::Gep {
-                dst: f.reg("d")?,
-                base: f.src("base")?,
-                off: f.num("off")?,
-                terms: terms.into_boxed_slice(),
-            }
-        }
-        "gepdyn" => {
-            let idx_tok = f.get("idx")?;
-            let inner = idx_tok
-                .strip_prefix('[')
-                .and_then(|t| t.strip_suffix(']'))
-                .ok_or("bad idx list")?;
-            let mut indices = Vec::new();
-            if !inner.is_empty() {
-                for t in inner.split(',') {
-                    let mut parts = t.splitn(2, ':');
-                    let src = parse_src(parts.next().ok_or("bad idx")?)?;
-                    let spec = parse_spec(parts.next().ok_or("bad idx")?)?;
-                    indices.push((src, spec));
-                }
-            }
-            Op::GepDyn {
-                dst: f.reg("d")?,
-                elem_ty: f.tid("ety")?,
-                base: f.src("base")?,
-                indices: indices.into_boxed_slice(),
-            }
-        }
-        "select" => {
-            Op::Select { dst: f.reg("d")?, cond: f.src("c")?, t: f.src("t")?, e: f.src("e")? }
-        }
-        "bin" => Op::Bin {
-            dst: f.reg("d")?,
-            op: parse_bin_op(f.get("o")?)?,
-            ty: f.tid("ty")?,
-            lhs: f.src("l")?,
-            rhs: f.src("r")?,
-        },
-        "icmp" => Op::Icmp {
-            dst: f.reg("d")?,
-            pred: parse_icmp_pred(f.get("o")?)?,
-            ty: f.tid("ty")?,
-            lhs: f.src("l")?,
-            rhs: f.src("r")?,
-        },
-        "fcmp" => Op::Fcmp {
-            dst: f.reg("d")?,
-            pred: parse_fcmp_pred(f.get("o")?)?,
-            lhs: f.src("l")?,
-            rhs: f.src("r")?,
-        },
-        "cast" => Op::Cast {
-            dst: f.reg("d")?,
-            op: parse_cast_op(f.get("o")?)?,
-            from: f.tid("from")?,
-            to: f.tid("to")?,
-            val: f.src("v")?,
-        },
-        "call" => Op::CallStatic {
-            dst: f.reg("d")?,
-            fid: f.num("f")? as u32,
-            charge: f.num("charge")?,
-            args: f.list("args")?.into_boxed_slice(),
-        },
-        "callhost" => Op::CallHost {
-            dst: f.reg("d")?,
-            host: f.num("h")? as u32,
-            void: f.boolean("void")?,
-            args: f.list("args")?.into_boxed_slice(),
-        },
-        "sbcheck" => Op::SbCheck(parse_check(&f)?),
-        "lfcheck" => Op::LfCheck(parse_check(&f)?),
-        "rzcheck" => Op::RzCheck(parse_check(&f)?),
-        "lfinv" => Op::LfInvariant(parse_check(&f)?),
-        "callunknown" => Op::CallUnknown {
-            name: f
-                .get("name")?
-                .strip_prefix('n')
-                .and_then(|n| n.parse().ok())
-                .ok_or("bad name ref")?,
-            args: f.list("args")?.into_boxed_slice(),
-        },
-        "callind" => Op::CallIndirect {
-            dst: f.reg("d")?,
-            void: f.boolean("void")?,
-            charge: f.num("charge")?,
-            callee: f.src("callee")?,
-            args: f.list("args")?.into_boxed_slice(),
-        },
-        "memcpy" => Op::MemCpy { dst: f.src("d")?, src: f.src("s")?, len: f.src("n")? },
-        "memset" => Op::MemSet { dst: f.src("d")?, byte: f.src("b")?, len: f.src("n")? },
-        "nop" => Op::Nop,
-        "trap" => Op::TrapUnsupported {
-            charge: f.num("charge")?,
-            class: f
-                .get("class")
-                .and_then(|c| OpClass::from_name(c).ok_or_else(|| format!("bad class `{c}`")))?,
-            pre: f.list("pre")?.into_boxed_slice(),
-            msg: msg.ok_or("trap op missing msg")?.into(),
-        },
-        "ret" => match f.get("v") {
-            Ok(v) => Op::Ret { val: Some(parse_src(v)?) },
-            Err(_) => Op::Ret { val: None },
-        },
-        "br" => Op::Br { target: f.num("t")? as u32, edge: parse_edge_ref(f.get("e")?)? },
-        "condbr" => Op::CondBr {
-            cond: f.src("c")?,
-            tt: f.num("tt")? as u32,
-            te: parse_edge_ref(f.get("te")?)?,
-            et: f.num("et")? as u32,
-            ee: parse_edge_ref(f.get("ee")?)?,
-        },
-        "unreachable" => Op::Unreachable,
-        other => return Err(format!("unknown op mnemonic `{other}`")),
-    })
-}
-
-/// Parses the textual form produced by [`BcModule::disassemble`] back into a
-/// structurally identical [`BcModule`] (modulo host-function closures, which
-/// are not serializable — `hosts` is left empty).
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed line.
-pub fn parse_bytecode(text: &str) -> Result<BcModule, String> {
-    let mut m = BcModule::default();
-    let mut cur: Option<(usize, BcFunc)> = None;
-    let mut nfuncs = 0usize;
-
-    let finish = |m: &mut BcModule, cur: &mut Option<(usize, BcFunc)>| -> Result<(), String> {
-        if let Some((fid, mut bf)) = cur.take() {
-            bf.seal();
-            *m.funcs.get_mut(fid).ok_or("func id out of range")? = Some(bf);
-        }
-        Ok(())
-    };
-
-    for (lno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |e: String| format!("line {}: {e}", lno + 1);
-        let mut toks = line.split_whitespace();
-        let head = toks.next().unwrap();
-        match head {
-            "bcmodule" => {
-                let f = Fields { toks: &line.split_whitespace().skip(1).collect::<Vec<_>>() };
-                nfuncs = f.num("nfuncs").map_err(err)? as usize;
-                m.nsites = f.num("nsites").map_err(err)? as usize;
-                m.funcs = vec![None; nfuncs];
-            }
-            "name" => {
-                let _ix = toks.next().ok_or_else(|| err("missing name index".into()))?;
-                let n = toks
-                    .next()
-                    .and_then(|t| t.strip_prefix('@'))
-                    .ok_or_else(|| err("missing @name".into()))?;
-                m.names.push(n.to_string());
-            }
-            "host" => {
-                let _ix = toks.next().ok_or_else(|| err("missing host index".into()))?;
-                let n = toks
-                    .next()
-                    .and_then(|t| t.strip_prefix('@'))
-                    .ok_or_else(|| err("missing @name".into()))?;
-                m.host_names.push(n.to_string());
-                m.host_classes.push(classify_host(n));
-            }
-            "targets" => {
-                for t in toks {
-                    let (tag, rest) = t.split_at(1);
-                    let n: u32 = rest.parse().map_err(|_| err(format!("bad target `{t}`")))?;
-                    m.targets.push(match tag {
-                        "s" => CallTarget::Static(n),
-                        "h" => CallTarget::Host(n),
-                        "u" => CallTarget::Unknown(n),
-                        _ => return Err(err(format!("bad target `{t}`"))),
-                    });
-                }
-            }
-            "func" => {
-                finish(&mut m, &mut cur).map_err(|e| err(e.to_string()))?;
-                let fid: usize = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err("bad func id".into()))?;
-                let name = toks
-                    .next()
-                    .and_then(|t| t.strip_prefix('@'))
-                    .ok_or_else(|| err("missing @name".into()))?
-                    .to_string();
-                let f = Fields { toks: &line.split_whitespace().skip(3).collect::<Vec<_>>() };
-                cur = Some((
-                    fid,
-                    BcFunc {
-                        name,
-                        nregs: f.num("nregs").map_err(err)? as u32,
-                        nparams: f.num("nparams").map_err(err)? as u32,
-                        float_regs: Vec::new(),
-                        consts: Vec::new(),
-                        types: Vec::new(),
-                        ops: Vec::new(),
-                        locs: Vec::new(),
-                        edges: Vec::new(),
-                        reg_init: Box::new([]),
-                        ints: Box::new([]),
-                    },
-                ));
-            }
-            "ftype" => {
-                let bf = &mut cur.as_mut().ok_or_else(|| err("ftype outside func".into()))?.1;
-                let tid_tok = toks.next().ok_or_else(|| err("missing type id".into()))?;
-                let rest = line.find(tid_tok).map(|i| &line[i + tid_tok.len()..]).unwrap_or("");
-                bf.types.push(parse_type(rest).map_err(err)?);
-            }
-            "fconst" => {
-                let bf = &mut cur.as_mut().ok_or_else(|| err("fconst outside func".into()))?.1;
-                let _ix = toks.next().ok_or_else(|| err("missing const id".into()))?;
-                let kind = toks.next().ok_or_else(|| err("missing const kind".into()))?;
-                let val =
-                    parse_u64_tok(toks.next().ok_or_else(|| err("missing const value".into()))?)
-                        .map_err(err)?;
-                bf.consts.push(match kind {
-                    "i" => RtVal::Int(val),
-                    "f" => RtVal::Float(f64::from_bits(val)),
-                    other => return Err(err(format!("bad const kind `{other}`"))),
-                });
-            }
-            "fregs" => {
-                let bf = &mut cur.as_mut().ok_or_else(|| err("fregs outside func".into()))?.1;
-                for t in toks {
-                    bf.float_regs.push(t.parse().map_err(|_| err(format!("bad reg `{t}`")))?);
-                }
-            }
-            "edge" => {
-                let bf = &mut cur.as_mut().ok_or_else(|| err("edge outside func".into()))?.1;
-                let _ix = toks.next().ok_or_else(|| err("missing edge id".into()))?;
-                let mut entries = Vec::new();
-                // Entries: `mv <dst> <src>` pairs, optionally terminated by
-                // `miss "<escaped message>"` (which consumes the line tail).
-                let after_ix = {
-                    let mut it = line.splitn(3, char::is_whitespace);
-                    it.next();
-                    it.next();
-                    it.next().unwrap_or("").trim()
-                };
-                let mut rest = after_ix;
-                loop {
-                    rest = rest.trim_start();
-                    if rest.is_empty() {
-                        break;
-                    }
-                    if let Some(tail) = rest.strip_prefix("miss ") {
-                        entries.push(MoveEntry::Missing(unquote(tail.trim()).map_err(err)?.into()));
-                        break;
-                    }
-                    let tail = rest
-                        .strip_prefix("mv ")
-                        .ok_or_else(|| err(format!("bad edge entry at `{rest}`")))?;
-                    let mut it = tail.splitn(3, char::is_whitespace);
-                    let dst: u32 = it
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| err("bad mv dst".into()))?;
-                    let src = parse_src(it.next().ok_or_else(|| err("bad mv src".into()))?)
-                        .map_err(err)?;
-                    entries.push(MoveEntry::Move { dst, src });
-                    rest = it.next().unwrap_or("");
-                }
-                bf.edges.push(entries.into_boxed_slice());
-            }
-            _ if head == "op" || head.starts_with("op@") => {
-                let bf = &mut cur.as_mut().ok_or_else(|| err("op outside func".into()))?.1;
-                let loc = match head.strip_prefix("op@") {
-                    Some(l) => Some(l.parse().map_err(|_| err(format!("bad loc `{head}`")))?),
-                    None => None,
-                };
-                let body = line[head.len()..].trim();
-                bf.ops.push(parse_op(body).map_err(err)?);
-                bf.locs.push(loc);
-            }
-            other => return Err(err(format!("unknown directive `{other}`"))),
-        }
-    }
-    finish(&mut m, &mut cur)?;
-    if m.funcs.len() != nfuncs {
-        return Err("function count mismatch".into());
-    }
-    Ok(m)
 }

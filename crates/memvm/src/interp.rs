@@ -421,11 +421,6 @@ impl Vm {
         &self.out
     }
 
-    /// Memory (for white-box tests and runtime setup).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Memory (read-only, for counter snapshots).
     pub fn memory(&self) -> &Memory {
         &self.mem
@@ -442,11 +437,6 @@ impl Vm {
     /// the sampler keeps stacks in a compact interned form while running.
     pub fn flame(&self) -> Option<telemetry::FoldedStacks> {
         self.sampler.as_ref().map(|s| s.folded())
-    }
-
-    /// Address of a global by name.
-    pub fn global_addr(&self, name: &str) -> Option<u64> {
-        self.module.global_by_name(name).map(|(gid, _)| self.global_addrs[gid.index()])
     }
 
     /// Runs function `name` with `args` to completion.

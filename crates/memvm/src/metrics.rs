@@ -90,7 +90,7 @@ impl OpClass {
         OpClass::Other,
     ];
 
-    /// Stable label used in metrics exports and bytecode disassembly.
+    /// Stable label used in metrics exports.
     pub fn name(self) -> &'static str {
         match self {
             OpClass::Alloca => "alloca",
@@ -115,11 +115,6 @@ impl OpClass {
             OpClass::Host => "host",
             OpClass::Other => "other",
         }
-    }
-
-    /// Inverse of [`OpClass::name`] (bytecode parsing).
-    pub fn from_name(s: &str) -> Option<OpClass> {
-        OpClass::ALL.iter().copied().find(|c| c.name() == s)
     }
 }
 
@@ -210,10 +205,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), OP_CLASS_COUNT, "duplicate class name");
-        for c in OpClass::ALL {
-            assert_eq!(OpClass::from_name(c.name()), Some(c));
-        }
-        assert_eq!(OpClass::from_name("bogus"), None);
     }
 
     #[test]

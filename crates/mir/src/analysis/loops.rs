@@ -339,11 +339,6 @@ impl LoopForest {
         }
         LoopForest { loops }
     }
-
-    /// The innermost loop containing `b`, if any (smallest body wins).
-    pub fn innermost_containing(&self, b: BlockId) -> Option<&Loop> {
-        self.loops.iter().filter(|l| l.contains(b)).min_by_key(|l| l.blocks.len())
-    }
 }
 
 fn collect_loop_body(cfg: &Cfg, header: BlockId, latch: BlockId) -> BTreeSet<BlockId> {

@@ -19,11 +19,9 @@
 //! assert!(mir::verifier::verify_module(&m).is_ok());
 //! ```
 
-use crate::function::{FnAttrs, Function, Param};
+use crate::function::{Function, Param};
 use crate::ids::{BlockId, GlobalId};
-use crate::instr::{
-    BinOp, CastOp, FcmpPred, IcmpPred, IcmpPred as _IP, InstrKind, Operand, Terminator,
-};
+use crate::instr::{BinOp, CastOp, FcmpPred, IcmpPred, InstrKind, Operand, Terminator};
 use crate::module::{Effect, Global, GlobalAttrs, HostDecl, Init, Module};
 use crate::srcloc::SrcLoc;
 use crate::types::Type;
@@ -46,21 +44,6 @@ impl ModuleBuilder {
             name: name.into(),
             ty,
             init: Init::Zero,
-            attrs: GlobalAttrs::default(),
-        })
-    }
-
-    /// Adds a global with explicit initializer bytes.
-    pub fn global_with_data(
-        &mut self,
-        name: impl Into<String>,
-        ty: Type,
-        data: Vec<u8>,
-    ) -> GlobalId {
-        self.module.add_global(Global {
-            name: name.into(),
-            ty,
-            init: Init::Bytes(data),
             attrs: GlobalAttrs::default(),
         })
     }
@@ -146,11 +129,6 @@ impl<'m> FunctionBuilder<'m> {
         self.func.attrs.uninstrumented = true;
     }
 
-    /// Sets arbitrary attributes.
-    pub fn set_attrs(&mut self, attrs: FnAttrs) {
-        self.func.attrs = attrs;
-    }
-
     /// Creates a new block (does not switch to it).
     pub fn new_block(&mut self, name: impl Into<String>) -> BlockId {
         self.func.add_block(name)
@@ -203,11 +181,6 @@ impl<'m> FunctionBuilder<'m> {
     /// `alloca ty` (single element).
     pub fn alloca(&mut self, ty: Type) -> Operand {
         self.emit(InstrKind::Alloca { ty, count: Operand::i64(1) })
-    }
-
-    /// `alloca ty, count`.
-    pub fn alloca_n(&mut self, ty: Type, count: Operand) -> Operand {
-        self.emit(InstrKind::Alloca { ty, count })
     }
 
     /// `load ty, ptr`.
@@ -337,11 +310,6 @@ impl<'m> FunctionBuilder<'m> {
         assert!(!self.terminated, "block {} already terminated", self.cur);
         self.func.blocks[self.cur.index()].term = term;
         self.terminated = true;
-    }
-
-    /// Convenience: emit `icmp ne x, 0` to booleanize an integer.
-    pub fn to_bool(&mut self, ty: Type, value: Operand) -> Operand {
-        self.icmp(_IP::Ne, ty.clone(), value, Operand::ConstInt { ty, value: 0 })
     }
 
     /// Direct access to the function under construction (escape hatch for

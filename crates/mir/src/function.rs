@@ -168,11 +168,6 @@ impl Function {
         self.instrs[id.index()].loc = loc;
     }
 
-    /// The source location of instruction `id`, if any.
-    pub fn instr_loc(&self, id: InstrId) -> Option<SrcLoc> {
-        self.instrs[id.index()].loc
-    }
-
     /// Creates an instruction and appends it to `block`.
     pub fn push_instr(&mut self, block: BlockId, kind: InstrKind) -> InstrId {
         let id = self.create_instr(kind);

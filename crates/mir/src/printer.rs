@@ -6,7 +6,6 @@
 use std::fmt::Write as _;
 
 use crate::function::Function;
-use crate::ids::BlockId;
 use crate::instr::{InstrKind, Operand, Terminator};
 use crate::module::{Effect, Init, Module};
 
@@ -215,11 +214,6 @@ fn format_term(t: &Terminator) -> String {
         }
         Terminator::Unreachable => "unreachable".to_string(),
     }
-}
-
-/// Renders a single block id as used in printed output (for diagnostics).
-pub fn block_label(b: BlockId) -> String {
-    b.to_string()
 }
 
 #[cfg(test)]

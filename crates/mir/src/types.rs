@@ -69,11 +69,6 @@ impl Type {
         matches!(self, Type::F64)
     }
 
-    /// Returns `true` for types a `load`/`store` may operate on.
-    pub fn is_first_class(&self) -> bool {
-        !matches!(self, Type::Void)
-    }
-
     /// Bit width of an integer type.
     ///
     /// # Panics

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -310,6 +310,11 @@ fn submit(state: &State, conn: &Arc<Conn>, id: u64, work: Work, deadline_ms: Opt
     }
 }
 
+/// The longest request line the daemon reads, in bytes (newline excluded).
+/// The rest of a longer line is discarded and the line gets a `rejected`
+/// response, so one endless line cannot grow the daemon's memory.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 fn reader_loop(state: &Arc<State>, stream: UnixStream) {
     let conn = Arc::new(Conn {
         writer: Mutex::new(match stream.try_clone() {
@@ -319,17 +324,26 @@ fn reader_loop(state: &Arc<State>, stream: UnixStream) {
         live: Mutex::new(HashMap::new()),
     });
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        match reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            if reader.skip_until(b'\n').is_err() {
+                break;
+            }
+            let reason = format!("bad request: request line longer than {MAX_REQUEST_LINE} bytes");
+            conn.send_line(&reject_line(0, &reason));
+            continue;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let req = match Request::decode(&line) {
+        let req = match Request::decode(line) {
             Ok(r) => r,
             Err(e) => {
                 // Best-effort id recovery so the client can correlate.

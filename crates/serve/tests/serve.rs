@@ -396,8 +396,9 @@ fn metrics_expose_store_hits_after_warm_resubmission() {
 }
 
 /// Hostile request lines at the trust boundary: nesting far deeper than
-/// any schema, and a high surrogate escape without its low half. Each gets
-/// a `rejected` response, and the same connection keeps being served.
+/// any schema, a high surrogate escape without its low half, and a line one
+/// byte over the length cap. Each gets a `rejected` response, and the same
+/// connection keeps being served.
 #[test]
 fn hostile_request_lines_are_rejected_and_the_daemon_keeps_serving() {
     use std::io::{BufRead, BufReader, Write};
@@ -420,8 +421,45 @@ fn hostile_request_lines_are_rejected_and_the_daemon_keeps_serving() {
             other => panic!("expected a rejection, got {other:?}"),
         }
     }
+    let cap = serve::server::MAX_REQUEST_LINE;
+    match exchange(&"x".repeat(cap + 1)) {
+        ResponseBody::Err(JobError::Rejected { reason }) => {
+            assert_eq!(reason, format!("bad request: request line longer than {cap} bytes"))
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
     let ping = serve::Request { id: 3, op: Op::Ping }.encode();
     assert_eq!(exchange(&ping), ResponseBody::Ok { result: "{\"pong\":true}".into() });
+    server.shutdown();
+}
+
+/// Source nested far past the frontend's bound is a frontend rejection, not
+/// a stack overflow that kills the daemon: the same connection keeps being
+/// served.
+#[test]
+fn deeply_nested_source_is_rejected_and_the_daemon_keeps_serving() {
+    let server = start_server("nesting", ServerConfig::default());
+    let mut client = Client::connect(server.socket()).unwrap();
+    let n = 200_000;
+    let text = format!("long main(void) {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n));
+    let resp = client
+        .call(Op::Job {
+            spec: JobSpec {
+                source: SourceRef::Inline { name: "deep.c".into(), text },
+                config: "baseline@O3@VectorizerStart".parse().unwrap(),
+                action: JobAction::Run,
+            },
+            deadline_ms: None,
+        })
+        .unwrap();
+    match resp.body {
+        ResponseBody::Err(JobError::Rejected { reason }) => {
+            assert!(reason.contains("nesting deeper than"), "{reason}")
+        }
+        other => panic!("expected a frontend rejection: {other:?}"),
+    }
+    let pong = client.call(Op::Ping).unwrap();
+    assert_eq!(pong.body, ResponseBody::Ok { result: "{\"pong\":true}".into() });
     server.shutdown();
 }
 

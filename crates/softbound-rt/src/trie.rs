@@ -25,11 +25,6 @@ impl Bounds {
     /// `-mi-sb-*-wide-*` flags).
     pub const WIDE: Bounds = Bounds { base: 0, bound: u64::MAX };
 
-    /// Whether these are the wide bounds.
-    pub fn is_wide(self) -> bool {
-        self == Bounds::WIDE
-    }
-
     /// Whether an access of `width` bytes at `ptr` is within bounds
     /// (Figure 2 of the paper).
     pub fn allows(self, ptr: u64, width: u64) -> bool {
