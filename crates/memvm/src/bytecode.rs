@@ -15,7 +15,10 @@
 //!   (`__sb_check`, `__lf_check`, `__rz_check`, `__lf_invariant`) are
 //!   specialized into dedicated opcodes carrying their check-site IDs;
 //! * `gep` chains with constant indices fold into a single byte offset plus
-//!   a list of scaled dynamic terms.
+//!   a list of scaled dynamic terms;
+//! * a final peephole pass fuses the measured hot sequences into
+//!   superinstructions ([`Op::TestBr`], [`Op::BrTest`],
+//!   [`Op::CheckedAccess`]; DESIGN.md "Superinstructions").
 //!
 //! The bytecode preserves the walker's semantics *exactly* — the same cost
 //! charges in the same order, the same statistics counters, the same trap
@@ -131,6 +134,9 @@ pub const NO_EDGE: u32 = u32::MAX;
 /// not a constant.
 pub const NO_SITE: u32 = u32::MAX;
 
+/// Sentinel type-pool index: an [`InlineTerm`] read as unsigned.
+pub const NO_TYPE: u32 = u32::MAX;
+
 /// Payload shared by the four specialized check opcodes.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CheckOp {
@@ -142,6 +148,93 @@ pub struct CheckOp {
     pub n: u8,
     /// Pre-decoded check-site ID ([`NO_SITE`] when absent).
     pub site: u32,
+}
+
+/// Which `icmp` chain an [`Op::TestBr`] fuses ahead of its `condbr`.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum TestForm {
+    /// `icmp → condbr`.
+    Bare,
+    /// `icmp → zext → icmp ne 0 → condbr` (how cfront lowers a condition).
+    Ne,
+    /// `icmp → zext → icmp eq 0 → condbr`.
+    Eq,
+}
+
+/// Payload of [`Op::TestBr`]: the first `icmp` (rebuilt for the fallback),
+/// the chain's result registers, and the `condbr`'s targets and edges.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct TestBrOp {
+    /// Result register of the first `icmp`.
+    pub dst: u32,
+    /// The first `icmp`'s predicate.
+    pub pred: IcmpPred,
+    /// The first `icmp`'s operand type (type-pool index).
+    pub ty: u32,
+    /// The first `icmp`'s left operand.
+    pub lhs: Src,
+    /// The first `icmp`'s right operand.
+    pub rhs: Src,
+    /// The chain between the `icmp` and the `condbr`.
+    pub form: TestForm,
+    /// Result register of the `zext` (`dst` for [`TestForm::Bare`]).
+    pub ext: u32,
+    /// Register the `condbr` tests (`dst` for [`TestForm::Bare`]).
+    pub test: u32,
+    /// Taken target and edge when the test is true.
+    pub tt: u32,
+    /// Phi edge of the true target.
+    pub te: u32,
+    /// Taken target when the test is false.
+    pub et: u32,
+    /// Phi edge of the false target.
+    pub ee: u32,
+}
+
+impl TestBrOp {
+    /// Opcodes the superinstruction covers, `condbr` included.
+    pub fn window(&self) -> usize {
+        if self.form == TestForm::Bare {
+            2
+        } else {
+            4
+        }
+    }
+}
+
+/// A `gep`'s one dynamic term, kept inline in [`CheckedAccessOp`]:
+/// `addr += signed(src) * size`, sign-extending from type-pool entry `ty`
+/// or reading the 64-bit value as signed when `ty` is [`NO_TYPE`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct InlineTerm {
+    /// The index operand.
+    pub src: Src,
+    /// Type-pool index of the index's declared type, or [`NO_TYPE`].
+    pub ty: u32,
+    /// Element size the index scales by.
+    pub size: i64,
+}
+
+impl InlineTerm {
+    /// The term as the [`GepTerm`] it was folded from.
+    pub fn gep_term(self) -> GepTerm {
+        let spec = if self.ty == NO_TYPE { IdxSpec::Unsigned } else { IdxSpec::Signed(self.ty) };
+        GepTerm { src: self.src, spec, size: self.size }
+    }
+}
+
+/// Payload of [`Op::CheckedAccess`]: the `gep` it replaces, with at most
+/// one dynamic term. The check and the access stay at `pc + 1` and `pc + 2`.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct CheckedAccessOp {
+    /// Result register of the `gep`.
+    pub dst: u32,
+    /// The `gep`'s base pointer.
+    pub base: Src,
+    /// The `gep`'s folded constant byte offset.
+    pub off: u64,
+    /// The `gep`'s dynamic term, if it has one.
+    pub term: Option<InlineTerm>,
 }
 
 /// A bytecode operation.
@@ -296,7 +389,23 @@ pub enum Op {
         ee: u32,
     },
     Unreachable,
+    /// Superinstruction for `icmp [→ zext → icmp ne/eq 0] → condbr`. It
+    /// replaces the first `icmp`; the rest of the chain stays in place
+    /// after it, so the fallback runs that `icmp` and continues at `pc + 1`.
+    TestBr(TestBrOp),
+    /// A `Br` whose target opcode is an [`Op::TestBr`]: runs the branch,
+    /// then the test, without another dispatch.
+    BrTest {
+        target: u32,
+        edge: u32,
+    },
+    /// Superinstruction for `gep → SbCheck/LfCheck → load/store`. It
+    /// replaces the `gep`; the check and the access stay in place after it.
+    CheckedAccess(CheckedAccessOp),
 }
+
+// Superinstruction payloads stay inline: fusing must not grow the opcode.
+const _: () = assert!(std::mem::size_of::<Op>() <= 56);
 
 /// The dispatch target an indirect call through a function's address
 /// resolves to (mirrors the walker's by-name dispatch, including its
@@ -375,12 +484,15 @@ pub struct BcFunc {
     pub(crate) reg_init: Box<[RtVal]>,
     /// Scalar facts per type-pool entry (derived from `types`).
     pub(crate) ints: Box<[IntTy]>,
+    /// Per edge: its moves may run in order, because no move reads a
+    /// register an earlier move on the edge writes (derived from `edges`).
+    pub(crate) edge_seq: Box<[bool]>,
 }
 
 impl BcFunc {
-    /// Rebuilds the derived tables: the initial-frame template and the
-    /// per-type scalar facts. Must be called after constructing or
-    /// mutating `nregs`/`float_regs`/`types`.
+    /// Rebuilds the derived tables: the initial-frame template, the
+    /// per-type scalar facts and the in-order edges. Must be called after
+    /// constructing or mutating `nregs`/`float_regs`/`types`/`edges`.
     fn seal(&mut self) {
         let mut init = vec![RtVal::Int(0); self.nregs as usize];
         for &r in &self.float_regs {
@@ -390,7 +502,21 @@ impl BcFunc {
         }
         self.reg_init = init.into_boxed_slice();
         self.ints = self.types.iter().map(IntTy::of).collect();
+        self.edge_seq = self.edges.iter().map(|e| moves_in_order(e)).collect();
     }
+}
+
+/// Whether an edge's parallel assignment may run as sequential moves: it
+/// has no `Missing` entry, and no move reads a register that an earlier
+/// move writes.
+fn moves_in_order(moves: &[MoveEntry]) -> bool {
+    moves.iter().enumerate().all(|(i, m)| match m {
+        MoveEntry::Move { src: Src::Reg(r), .. } => {
+            !moves[..i].iter().any(|e| matches!(e, MoveEntry::Move { dst, .. } if dst == r))
+        }
+        MoveEntry::Move { .. } => true,
+        MoveEntry::Missing(_) => false,
+    })
 }
 
 impl std::fmt::Debug for BcFunc {
@@ -794,7 +920,9 @@ fn compile_function(cx: &mut Cx<'_>, func: &mir::function::Function) -> BcFunc {
         edges,
         reg_init: Box::new([]),
         ints: Box::new([]),
+        edge_seq: Box::new([]),
     };
+    fuse(&mut bf.ops, &bf.consts, &cx.host_fast);
     bf.seal();
     bf
 }
@@ -1108,6 +1236,108 @@ fn compile_gep(
 }
 
 // ---------------------------------------------------------------------------
+// Superinstructions
+// ---------------------------------------------------------------------------
+
+/// Rewrites the measured hot opcode sequences into superinstructions in
+/// one linear scan. Each superinstruction replaces the first opcode of its
+/// window and leaves the others in place after it; windows never overlap.
+/// A checked access is fused only around a helper that `fast` (the check
+/// fast path per host-pool entry) gives a pass predicate. A second scan
+/// marks every `Br` that lands on a [`Op::TestBr`].
+fn fuse(ops: &mut [Op], consts: &[RtVal], fast: &[Option<CheckFastPath>]) {
+    let mut pc = 0;
+    while pc < ops.len() {
+        match test_br(&ops[pc..], consts).or_else(|| checked_access(&ops[pc..], fast)) {
+            Some((op, len)) => {
+                ops[pc] = op;
+                pc += len;
+            }
+            None => pc += 1,
+        }
+    }
+    for pc in 0..ops.len() {
+        if let Op::Br { target, edge } = ops[pc] {
+            if matches!(ops.get(target as usize), Some(Op::TestBr(_))) {
+                ops[pc] = Op::BrTest { target, edge };
+            }
+        }
+    }
+}
+
+fn is_bad(s: Src) -> bool {
+    matches!(s, Src::BadFunc(_))
+}
+
+/// An `icmp [→ zext → icmp ne/eq 0] → condbr` window at the head of `w`:
+/// the [`Op::TestBr`] for it and the window's length.
+fn test_br(w: &[Op], consts: &[RtVal]) -> Option<(Op, usize)> {
+    let Op::Icmp { dst, pred, ty, lhs, rhs } = w[0] else { return None };
+    if is_bad(lhs) || is_bad(rhs) {
+        return None;
+    }
+    let (form, ext, test) = zext_test(&w[1..], dst, consts).unwrap_or((TestForm::Bare, dst, dst));
+    let t = TestBrOp { dst, pred, ty, lhs, rhs, form, ext, test, tt: 0, te: 0, et: 0, ee: 0 };
+    let Op::CondBr { cond, tt, te, et, ee } = *w.get(t.window() - 1)? else { return None };
+    if cond != Src::Reg(test) {
+        return None;
+    }
+    Some((Op::TestBr(TestBrOp { tt, te, et, ee, ..t }), t.window()))
+}
+
+/// The `zext → icmp ne/eq 0` chain cfront puts after an `icmp` writing
+/// `dst`, at the head of `w`: its form and its two result registers.
+fn zext_test(w: &[Op], dst: u32, consts: &[RtVal]) -> Option<(TestForm, u32, u32)> {
+    let Op::Cast { dst: ext, op: CastOp::Zext, val, .. } = *w.first()? else { return None };
+    let Op::Icmp { dst: test, pred, lhs, rhs: Src::Const(k), .. } = *w.get(1)? else {
+        return None;
+    };
+    let form = match pred {
+        IcmpPred::Ne => TestForm::Ne,
+        IcmpPred::Eq => TestForm::Eq,
+        _ => return None,
+    };
+    let zero = consts.get(k as usize) == Some(&RtVal::Int(0));
+    (val == Src::Reg(dst) && lhs == Src::Reg(ext) && zero).then_some((form, ext, test))
+}
+
+/// A `gep → SbCheck/LfCheck → load/store` window at the head of `w`: the
+/// [`Op::CheckedAccess`] for it and the window's length. The `gep` must
+/// have at most one dynamic term and not read its own result, and no
+/// component may name an unknown function.
+fn checked_access(w: &[Op], fast: &[Option<CheckFastPath>]) -> Option<(Op, usize)> {
+    let Op::Gep { dst, base, off, terms } = &w[0] else { return None };
+    let term = match &terms[..] {
+        [] => None,
+        [GepTerm { src, spec, size }] => Some(InlineTerm {
+            src: *src,
+            ty: match spec {
+                IdxSpec::Signed(ty) => *ty,
+                IdxSpec::Unsigned => NO_TYPE,
+                IdxSpec::RawConst(_) => return None,
+            },
+            size: *size,
+        }),
+        _ => return None,
+    };
+    let (Op::SbCheck(c) | Op::LfCheck(c)) = w.get(1)? else { return None };
+    let (ptr, val) = match w.get(2)? {
+        Op::Load { ptr, .. } => (*ptr, None),
+        Op::Store { ptr, val, .. } => (*ptr, Some(*val)),
+        _ => return None,
+    };
+    let gep_reads = [*base].into_iter().chain(term.map(|t| t.src));
+    let args = c.args[..c.n as usize].iter().copied();
+    if gep_reads.clone().any(|s| s == Src::Reg(*dst))
+        || gep_reads.chain(args).chain([ptr]).chain(val).any(is_bad)
+        || fast.get(c.host as usize).copied().flatten().is_none()
+    {
+        return None;
+    }
+    Some((Op::CheckedAccess(CheckedAccessOp { dst: *dst, base: *base, off: *off, term }), 3))
+}
+
+// ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
 
@@ -1232,7 +1462,7 @@ impl BcModule {
             }
         }
 
-        for op in &bf.ops {
+        for (pc, op) in bf.ops.iter().enumerate() {
             match op {
                 Op::Alloca { dst, count, .. } => {
                     reg(*dst)?;
@@ -1358,8 +1588,285 @@ impl BcModule {
                     edge(*ee)?;
                 }
                 Op::Unreachable => {}
+                Op::TestBr(t) => {
+                    reg(t.dst)?;
+                    reg(t.ext)?;
+                    reg(t.test)?;
+                    ty(t.ty)?;
+                    src(t.lhs)?;
+                    src(t.rhs)?;
+                    target(t.tt)?;
+                    edge(t.te)?;
+                    target(t.et)?;
+                    edge(t.ee)?;
+                    if pc + t.window() > bf.ops.len() {
+                        return Err(format!("test-branch at {pc} runs past the end"));
+                    }
+                }
+                Op::BrTest { target: t, edge: e } => {
+                    target(*t)?;
+                    edge(*e)?;
+                    if !matches!(bf.ops[*t as usize], Op::TestBr(_)) {
+                        return Err(format!("branch-to-test target {t} is not a test-branch"));
+                    }
+                }
+                Op::CheckedAccess(a) => {
+                    reg(a.dst)?;
+                    src(a.base)?;
+                    if let Some(t) = a.term {
+                        src(t.src)?;
+                        if t.ty != NO_TYPE {
+                            ty(t.ty)?;
+                        }
+                    }
+                    let check = bf.ops.get(pc + 1);
+                    let access = bf.ops.get(pc + 2);
+                    if !matches!(check, Some(Op::SbCheck(_) | Op::LfCheck(_)))
+                        || !matches!(access, Some(Op::Load { .. } | Op::Store { .. }))
+                    {
+                        return Err(format!("checked access at {pc} lacks its check and access"));
+                    }
+                }
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::host::default_registry;
+    use crate::layout::FUNC_BASE;
+
+    /// Compiles IR text against the default registry plus the four check
+    /// helpers; only `__sb_check` and `__lf_check` get a fast path.
+    fn compile_ir(body: &str) -> BcModule {
+        let src = format!(
+            "checksite @main deref read width 8\n\
+             define i64 @main(i64 %n, ptr %p, f64 %f) {{\n{body}\n}}\n"
+        );
+        let module = mir::parser::parse_module(&src).unwrap();
+        let cost = CostModel::default();
+        let mut registry = default_registry(&cost);
+        let fast = CheckFastPath { pass: |_| Some(false), charge: 7 };
+        registry.register_check("__sb_check", |_, _| Ok(RtVal::Int(0)), fast);
+        registry.register_check("__lf_check", |_, _| Ok(RtVal::Int(0)), fast);
+        registry.register("__rz_check", |_, _| Ok(RtVal::Int(0)));
+        registry.register("__lf_invariant", |_, _| Ok(RtVal::Int(0)));
+        let addrs: HashMap<String, u64> = module
+            .functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name.clone(), FUNC_BASE + (i as u64 + 1) * 16))
+            .collect();
+        let globals = vec![0x1000; module.globals.len()];
+        let code = compile(&module, &registry, &cost, &globals, &addrs);
+        code.validate().unwrap();
+        code
+    }
+
+    fn main_ops(code: &BcModule) -> &[Op] {
+        &code.funcs[0].as_ref().unwrap().ops
+    }
+
+    const CONDITION: &str = "bb0:
+  %c = icmp slt i64, %n, i64 4
+  %z = zext %c, i1 to i32
+  %t = icmp ne i32, %z, i32 0
+  condbr %t, bb1, bb2
+bb1:
+  ret i64 1
+bb2:
+  ret i64 0";
+
+    #[test]
+    fn test_branch_fuses_the_cfront_condition_sequence() {
+        let code = compile_ir(CONDITION);
+        let ops = main_ops(&code);
+        let Op::TestBr(t) = &ops[0] else { panic!("not fused: {:?}", ops[0]) };
+        assert_eq!((t.form, t.pred, t.window()), (TestForm::Ne, IcmpPred::Slt, 4));
+        assert_eq!((t.tt, t.et), (4, 5));
+        // The other components stay in place behind the superinstruction.
+        assert!(matches!(ops[1], Op::Cast { op: CastOp::Zext, .. }));
+        assert!(matches!(ops[2], Op::Icmp { pred: IcmpPred::Ne, .. }));
+        assert!(matches!(ops[3], Op::CondBr { .. }));
+
+        let eq = compile_ir(&CONDITION.replace("icmp ne i32", "icmp eq i32"));
+        assert!(matches!(main_ops(&eq)[0], Op::TestBr(TestBrOp { form: TestForm::Eq, .. })));
+    }
+
+    #[test]
+    fn test_branch_fuses_a_bare_compare_and_the_branches_into_it() {
+        let code = compile_ir(
+            "bb0:
+  br bb1
+bb1:
+  %i = phi i64, [bb0: i64 0], [bb2: %j]
+  %c = icmp ult i64, %i, %n
+  condbr %c, bb2, bb3
+bb2:
+  %j = add i64, %i, i64 1
+  br bb1
+bb3:
+  ret %i",
+        );
+        let ops = main_ops(&code);
+        assert!(matches!(ops[0], Op::BrTest { target: 1, .. }), "{:?}", ops[0]);
+        let Op::TestBr(t) = &ops[1] else { panic!("not fused: {:?}", ops[1]) };
+        assert_eq!((t.form, t.window(), t.ext, t.test), (TestForm::Bare, 2, t.dst, t.dst));
+        assert!(matches!(ops[2], Op::CondBr { .. }));
+        assert!(matches!(ops[4], Op::BrTest { target: 1, .. }), "{:?}", ops[4]);
+    }
+
+    #[test]
+    fn checked_access_fuses_gep_check_and_load_or_store() {
+        for (check, access) in [
+            ("__sb_check(%g, i64 8, %p, %p, i64 0)", "%v = load i64, %g"),
+            ("__sb_check(%g, i64 8, %p, %p, i64 0)", "store i64, %n, %g"),
+            ("__lf_check(%g, i64 8, %p, i64 0)", "%v = load i64, %g"),
+        ] {
+            let code = compile_ir(&format!(
+                "bb0:\n  %g = gep i64, %p, [%n]\n  call void @{check}\n  {access}\n  ret i64 0"
+            ));
+            let ops = main_ops(&code);
+            let Op::CheckedAccess(a) = &ops[0] else { panic!("not fused: {:?}", ops[0]) };
+            assert_eq!(a.term.map(|t| t.size), Some(8));
+            assert!(matches!(ops[1], Op::SbCheck(_) | Op::LfCheck(_)));
+            assert!(matches!(ops[2], Op::Load { .. } | Op::Store { .. }));
+        }
+    }
+
+    #[test]
+    fn fusion_stays_out_of_windows_it_cannot_run_inline() {
+        let cases = [
+            // A `BadFunc` operand traps when fetched.
+            CONDITION.replace("%n, i64 4", "@fn:nowhere, i64 4"),
+            "bb0:
+  %g = gep i64, %p, [%n]
+  call void @__sb_check(%g, i64 8, @fn:nowhere, %p, i64 0)
+  %v = load i64, %g
+  ret %v"
+                .to_string(),
+            // Float compares have no integer fast path.
+            "bb0:
+  %c = fcmp olt %f, %f
+  condbr %c, bb1, bb1
+bb1:
+  ret i64 0"
+                .to_string(),
+            // Red-zone and invariant checks have no pass predicate.
+            "bb0:
+  %g = gep i64, %p, [%n]
+  call void @__rz_check(%g, i64 8, i64 0)
+  %v = load i64, %g
+  ret %v"
+                .to_string(),
+            "bb0:
+  %g = gep i64, %p, [%n]
+  call void @__lf_invariant(%g, %p, i64 0)
+  %v = load i64, %g
+  ret %v"
+                .to_string(),
+            // An intervening host call breaks the window.
+            "bb0:
+  %g = gep i64, %p, [%n]
+  call void @print_i64(%n)
+  call void @__sb_check(%g, i64 8, %p, %p, i64 0)
+  %v = load i64, %g
+  ret %v"
+                .to_string(),
+        ];
+        // Each window would start at the first opcode. (Later windows may
+        // still fuse: `icmp ne → condbr` after a `BadFunc` compare does.)
+        for body in &cases {
+            let code = compile_ir(body);
+            let first = &main_ops(&code)[0];
+            assert!(
+                matches!(first, Op::Icmp { .. } | Op::Fcmp { .. } | Op::Gep { .. }),
+                "{first:?}"
+            );
+        }
+    }
+
+    /// Corrupts one field of a compiled module and expects `validate` to
+    /// name the problem.
+    fn rejects(code: &BcModule, what: &str, corrupt: impl FnOnce(&mut BcModule)) {
+        let mut bad = code.clone();
+        corrupt(&mut bad);
+        let err = bad.validate().expect_err(what);
+        assert!(err.contains(what), "{what}: {err}");
+    }
+
+    fn op_mut(code: &mut BcModule, pc: usize) -> &mut Op {
+        &mut code.funcs[0].as_mut().unwrap().ops[pc]
+    }
+
+    fn test(code: &mut BcModule) -> &mut TestBrOp {
+        let Op::TestBr(t) = op_mut(code, 1) else { unreachable!() };
+        t
+    }
+
+    fn access(code: &mut BcModule) -> &mut CheckedAccessOp {
+        let Op::CheckedAccess(a) = op_mut(code, 3) else { unreachable!() };
+        a
+    }
+
+    fn check(code: &mut BcModule) -> &mut CheckOp {
+        let Op::SbCheck(co) = op_mut(code, 4) else { unreachable!() };
+        co
+    }
+
+    #[test]
+    fn validate_checks_every_superinstruction_payload() {
+        let code = compile_ir(
+            "bb0:
+  br bb1
+bb1:
+  %i = phi i64, [bb0: i64 0], [bb2: %j]
+  %c = icmp ult i64, %i, %n
+  condbr %c, bb2, bb3
+bb2:
+  %g = gep i64, %p, [%i]
+  call void @__sb_check(%g, i64 8, %p, %p, i64 0)
+  store i64, %i, %g
+  %j = add i64, %i, i64 1
+  br bb1
+bb3:
+  ret %i",
+        );
+        let bf = code.funcs[0].as_ref().unwrap();
+        let (nregs, nops, nedges) = (bf.nregs, bf.ops.len() as u32, bf.edges.len() as u32);
+        assert!(matches!(bf.ops[0], Op::BrTest { .. }));
+        assert!(matches!(bf.ops[1], Op::TestBr(_)));
+        assert!(matches!(bf.ops[3], Op::CheckedAccess(_)));
+        rejects(&code, "register", |c| test(c).dst = nregs);
+        rejects(&code, "register", |c| test(c).test = nregs);
+        rejects(&code, "register", |c| test(c).lhs = Src::Reg(nregs));
+        rejects(&code, "branch target", |c| test(c).et = nops);
+        rejects(&code, "edge", |c| test(c).te = nedges);
+        rejects(&code, "branch target", |c| *op_mut(c, 0) = Op::BrTest { target: nops, edge: 0 });
+        rejects(&code, "edge", |c| *op_mut(c, 0) = Op::BrTest { target: 1, edge: nedges });
+        rejects(&code, "not a test-branch", |c| {
+            *op_mut(c, 0) = Op::BrTest { target: 3, edge: NO_EDGE }
+        });
+        rejects(&code, "register", |c| access(c).dst = nregs);
+        rejects(&code, "register", |c| access(c).base = Src::Reg(nregs));
+        rejects(&code, "register", |c| {
+            access(c).term.as_mut().unwrap().src = Src::Reg(nregs);
+        });
+        rejects(&code, "host", |c| check(c).host = u32::MAX - 1);
+        rejects(&code, "check site", |c| check(c).site = 1);
+        rejects(&code, "lacks its check", |c| *op_mut(c, 4) = Op::Nop);
+    }
+
+    #[test]
+    fn edges_run_in_order_unless_a_move_reads_an_earlier_write() {
+        let mv = |dst, src| MoveEntry::Move { dst, src: Src::Reg(src) };
+        assert!(moves_in_order(&[mv(0, 1), mv(2, 3)]));
+        assert!(moves_in_order(&[mv(0, 0), mv(1, 2)]));
+        // A swap must read both registers before writing either.
+        assert!(!moves_in_order(&[mv(0, 1), mv(1, 0)]));
+        assert!(!moves_in_order(&[mv(0, 1), MoveEntry::Missing("no".into())]));
     }
 }

@@ -9,11 +9,12 @@
 
 use std::rc::Rc;
 
-use mir::instr::{BinOp, CastOp, IcmpPred};
+use mir::instr::{BinOp, CastOp, FcmpPred, IcmpPred};
 use mir::types::Type;
 
 use crate::bytecode::{
-    BcFunc, BcModule, CallTarget, CheckOp, IdxSpec, IntTy, MoveEntry, Op, Src, NO_EDGE,
+    BcFunc, BcModule, CallTarget, CheckOp, CheckedAccessOp, GepTerm, IdxSpec, IntTy, MoveEntry, Op,
+    Src, TestBrOp, TestForm, NO_EDGE, NO_TYPE,
 };
 use crate::host::HostCtx;
 use crate::interp::{exec_bin, exec_cast, exec_icmp, Trap, Vm};
@@ -33,6 +34,27 @@ fn fetch(code: &BcModule, bf: &BcFunc, frame: &[RtVal], s: Src) -> Result<RtVal,
     }
 }
 
+/// An operand's value without a trap: `None` for `BadFunc`. Superinstruction
+/// fast paths read through this and leave every other case to their
+/// fallback.
+#[inline(always)]
+fn peek(bf: &BcFunc, frame: &[RtVal], s: Src) -> Option<RtVal> {
+    match s {
+        Src::Reg(r) => Some(frame[r as usize]),
+        Src::Const(c) => Some(bf.consts[c as usize]),
+        Src::BadFunc(_) => None,
+    }
+}
+
+/// An operand's integer bits: `None` for a float or `BadFunc`.
+#[inline(always)]
+fn peek_int(bf: &BcFunc, frame: &[RtVal], s: Src) -> Option<u64> {
+    match peek(bf, frame, s) {
+        Some(RtVal::Int(x)) => Some(x),
+        _ => None,
+    }
+}
+
 /// Fetches a call's arguments into `v` (cleared first). The buffer comes
 /// from the VM's frame pool so steady-state calls allocate nothing.
 fn fetch_args_into(
@@ -45,38 +67,6 @@ fn fetch_args_into(
     v.clear();
     for &a in args {
         v.push(fetch(code, bf, frame, a)?);
-    }
-    Ok(())
-}
-
-/// Applies the phi move list of a CFG edge: all reads happen against the
-/// pre-edge frame (parallel assignment), buffered through `scratch`. A
-/// `Missing` entry raises the walker's "phi without incoming" trap at the
-/// same point in evaluation order.
-fn run_edge(
-    code: &BcModule,
-    bf: &BcFunc,
-    frame: &mut [RtVal],
-    edge: u32,
-    scratch: &mut Vec<(u32, RtVal)>,
-) -> Result<(), Trap> {
-    if edge == NO_EDGE {
-        return Ok(());
-    }
-    // A single move needs no parallel-assignment buffering.
-    if let [MoveEntry::Move { dst, src }] = &*bf.edges[edge as usize] {
-        frame[*dst as usize] = fetch(code, bf, frame, *src)?;
-        return Ok(());
-    }
-    scratch.clear();
-    for m in bf.edges[edge as usize].iter() {
-        match m {
-            MoveEntry::Move { dst, src } => scratch.push((*dst, fetch(code, bf, frame, *src)?)),
-            MoveEntry::Missing(msg) => return Err(Trap::Unsupported(msg.to_string())),
-        }
-    }
-    for &(dst, v) in scratch.iter() {
-        frame[dst as usize] = v;
     }
     Ok(())
 }
@@ -147,14 +137,6 @@ fn int_cast(op: CastOp, from: IntTy, to: IntTy, x: u64) -> Option<u64> {
     }
 }
 
-/// Outcome of a terminator opcode.
-enum Flow {
-    /// Continue at this opcode index.
-    Jump(usize),
-    /// Function returned.
-    Return(Option<RtVal>),
-}
-
 impl Vm {
     /// Executes compiled function `fidx` with `args`, enforcing the same
     /// call-depth limit and stack-pointer save/restore as the walker's
@@ -183,6 +165,18 @@ impl Vm {
         result
     }
 
+    /// The dispatch loop: one `match` over every opcode, each arm calling a
+    /// per-op helper. Data opcodes evaluate into one shared `Result` and
+    /// share the tail that counts the instruction and annotates a trap
+    /// with its frame; terminators and superinstructions return the next
+    /// pc and annotate their own traps.
+    ///
+    /// Builds without debug assertions force the hot helpers inline: a
+    /// loop this large exceeds the inliner's threshold for a plain hint,
+    /// and every helper left outlined costs a call per dispatch. Debug
+    /// builds leave them outlined, so each keeps its own short-lived frame
+    /// and this function's per-recursion frame stays small enough for
+    /// `max_call_depth` levels on a 2 MiB thread.
     fn exec_bc_inner(
         &mut self,
         code: &Rc<BcModule>,
@@ -203,196 +197,548 @@ impl Vm {
         self.frame_pool.push(args);
         let mut pc = 0usize;
         loop {
-            match &bf.ops[pc] {
-                Op::Ret { .. } | Op::Br { .. } | Op::CondBr { .. } | Op::Unreachable => {
-                    match self.bc_term(&code, bf, &mut frame, pc)? {
-                        Flow::Jump(t) => pc = t,
-                        Flow::Return(v) => {
+            let next = 'data: {
+                let r = match &bf.ops[pc] {
+                    Op::Load { dst, ty, width, ptr } => {
+                        self.bc_load(&code, bf, &mut frame, *dst, *ty, *width, *ptr)
+                    }
+                    Op::Store { width, ptr, val } => {
+                        self.bc_store(&code, bf, &frame, *width, *ptr, *val)
+                    }
+                    Op::Bin { dst, op, ty, lhs, rhs } => {
+                        self.bc_bin(&code, bf, &mut frame, *dst, *op, *ty, *lhs, *rhs)
+                    }
+                    Op::Icmp { dst, pred, ty, lhs, rhs } => {
+                        self.bc_icmp(&code, bf, &mut frame, *dst, *pred, *ty, *lhs, *rhs)
+                    }
+                    Op::Gep { dst, base, off, terms } => {
+                        self.bc_gep(&code, bf, &mut frame, *dst, *base, *off, terms)
+                    }
+                    Op::Cast { dst, op, from, to, val } => {
+                        self.bc_cast(&code, bf, &mut frame, *dst, *op, *from, *to, *val)
+                    }
+                    Op::Select { dst, cond, t, e } => {
+                        self.bc_select(&code, bf, &mut frame, *dst, *cond, *t, *e)
+                    }
+                    Op::Alloca { dst, size, count } => {
+                        self.bc_alloca(&code, bf, &mut frame, *dst, *size, *count)
+                    }
+                    Op::SbCheck(c) | Op::LfCheck(c)
+                        if self.bc_check_pass(&code, bf, &frame, c, 0) =>
+                    {
+                        Ok(())
+                    }
+                    op @ (Op::CallStatic { .. } | Op::CallIndirect { .. }) => {
+                        self.bc_call(&code, bf, &mut frame, op, bf.locs[pc])
+                    }
+                    op @ (Op::CallHost { .. }
+                    | Op::CallUnknown { .. }
+                    | Op::SbCheck(_)
+                    | Op::LfCheck(_)
+                    | Op::RzCheck(_)
+                    | Op::LfInvariant(_)) => {
+                        self.bc_call_leaf(&code, bf, &mut frame, op, bf.locs[pc])
+                    }
+                    Op::GepDyn { dst, elem_ty, base, indices } => {
+                        self.bc_gep_dyn(&code, bf, &mut frame, *dst, *elem_ty, *base, indices)
+                    }
+                    Op::Fcmp { dst, pred, lhs, rhs } => {
+                        self.bc_fcmp(&code, bf, &mut frame, *dst, *pred, *lhs, *rhs)
+                    }
+                    Op::MemCpy { dst, src, len } => {
+                        self.bc_memcpy(&code, bf, &frame, *dst, *src, *len)
+                    }
+                    Op::MemSet { dst, byte, len } => {
+                        self.bc_memset(&code, bf, &frame, *dst, *byte, *len)
+                    }
+                    Op::Nop => Ok(()),
+                    Op::TrapUnsupported { charge, class, pre, msg } => {
+                        self.bc_trap_unsupported(&code, bf, &frame, *charge, *class, pre, msg)
+                    }
+                    // Terminators and superinstructions produce the next
+                    // pc themselves.
+                    Op::Ret { val } => match self.bc_ret(&code, bf, &frame, *val) {
+                        Ok(v) => {
                             self.frame_pool.push(frame);
                             return Ok(v);
                         }
+                        Err(t) => break 'data Err(t),
+                    },
+                    Op::Br { target, edge } => {
+                        break 'data self.bc_br(&code, bf, &mut frame, *target, *edge)
                     }
-                }
-                op @ (Op::CallStatic { .. } | Op::CallIndirect { .. }) => {
-                    self.stats.instrs_executed += 1;
-                    self.bc_call(&code, bf, &mut frame, op, bf.locs[pc])
-                        .map_err(|t| t.with_frame(&bf.name, bf.locs[pc]))?;
-                    pc += 1;
-                }
-                op @ (Op::SbCheck(c) | Op::LfCheck(c)) => {
-                    self.stats.instrs_executed += 1;
-                    if !self.bc_check_pass(&code, bf, &frame, c) {
-                        self.bc_call_leaf(&code, bf, &mut frame, op, bf.locs[pc])
-                            .map_err(|t| t.with_frame(&bf.name, bf.locs[pc]))?;
+                    Op::CondBr { cond, tt, te, et, ee } => {
+                        break 'data self.bc_condbr(
+                            &code,
+                            bf,
+                            &mut frame,
+                            *cond,
+                            [*tt, *te, *et, *ee],
+                        )
                     }
-                    pc += 1;
+                    Op::Unreachable => {
+                        break 'data Err(Trap::Unsupported("executed unreachable".into()))
+                    }
+                    Op::TestBr(t) => break 'data self.bc_test_br(&code, bf, &mut frame, pc, t),
+                    Op::BrTest { target, edge } => {
+                        break 'data self.bc_br_test(&code, bf, &mut frame, *target, *edge)
+                    }
+                    Op::CheckedAccess(a) => {
+                        break 'data self.bc_checked_access(&code, bf, &mut frame, pc, a)
+                    }
+                };
+                self.stats.instrs_executed += 1;
+                match r {
+                    Ok(()) => Ok(pc + 1),
+                    Err(t) => Err(t.with_frame(&bf.name, bf.locs[pc])),
                 }
-                op @ (Op::CallHost { .. }
-                | Op::CallUnknown { .. }
-                | Op::RzCheck(_)
-                | Op::LfInvariant(_)) => {
-                    self.stats.instrs_executed += 1;
-                    self.bc_call_leaf(&code, bf, &mut frame, op, bf.locs[pc])
-                        .map_err(|t| t.with_frame(&bf.name, bf.locs[pc]))?;
-                    pc += 1;
-                }
-                op => {
-                    self.stats.instrs_executed += 1;
-                    self.bc_data_hot(&code, bf, &mut frame, op)
-                        .map_err(|t| t.with_frame(&bf.name, bf.locs[pc]))?;
-                    pc += 1;
-                }
+            };
+            match next {
+                Ok(n) => pc = n,
+                Err(t) => return Err(t),
             }
         }
     }
 
-    /// The hottest data opcodes, kept behind an `#[inline]` hint so release
-    /// builds fold them straight into the dispatch loop while unoptimized
-    /// builds keep `exec_bc_inner`'s per-recursion stack frame small.
-    /// Everything else falls through to the outlined [`Vm::exec_bc_data`].
-    #[inline]
-    fn bc_data_hot(
+    /// Applies the phi move list of a CFG edge. An edge whose moves read
+    /// no register an earlier move writes runs them in order; any other
+    /// edge assigns in parallel, reading the pre-edge frame into the
+    /// shared scratch buffer first. A `Missing` entry raises the walker's
+    /// "phi without incoming" trap at the same point in evaluation order.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn run_edge(
         &mut self,
         code: &BcModule,
         bf: &BcFunc,
         frame: &mut [RtVal],
-        op: &Op,
+        edge: u32,
     ) -> Result<(), Trap> {
-        match op {
-            Op::Load { dst, ty, width, ptr } => {
-                self.charge_app(OpClass::Load, self.config.cost.load)?;
-                let addr = fetch(code, bf, frame, *ptr)?.as_int();
-                let bits = self.mem.read_uint(addr, *width).map_err(Vm::mem_err)?;
-                let t = bf.ints[*ty as usize];
-                frame[*dst as usize] = if t.float {
-                    RtVal::Float(f64::from_bits(bits))
-                } else {
-                    RtVal::Int(bits & t.mask)
-                };
-                Ok(())
-            }
-            Op::Store { width, ptr, val } => {
-                self.charge_app(OpClass::Store, self.config.cost.store)?;
-                let addr = fetch(code, bf, frame, *ptr)?.as_int();
-                let v = fetch(code, bf, frame, *val)?;
-                self.mem.write_uint(addr, *width, v.to_bits()).map_err(Vm::mem_err)
-            }
-            Op::Bin { dst, op, ty, lhs, rhs } => {
-                self.charge_app(OpClass::Bin, self.config.cost.arith)?;
-                let a = fetch(code, bf, frame, *lhs)?;
-                let b = fetch(code, bf, frame, *rhs)?;
-                let v = match (a, b) {
-                    (RtVal::Int(x), RtVal::Int(y)) => int_bin(*op, bf.ints[*ty as usize], x, y),
-                    _ => None,
-                };
-                frame[*dst as usize] = match v {
-                    Some(v) => RtVal::Int(v),
-                    None => exec_bin(*op, &bf.types[*ty as usize], a, b)?,
-                };
-                Ok(())
-            }
-            Op::Icmp { dst, pred, ty, lhs, rhs } => {
-                self.charge_app(OpClass::Icmp, self.config.cost.arith)?;
-                let a = fetch(code, bf, frame, *lhs)?;
-                let b = fetch(code, bf, frame, *rhs)?;
-                let r = match (a, b) {
-                    (RtVal::Int(x), RtVal::Int(y)) => int_icmp(*pred, bf.ints[*ty as usize], x, y),
-                    _ => exec_icmp(*pred, &bf.types[*ty as usize], a, b),
-                };
-                frame[*dst as usize] = RtVal::Int(r as u64);
-                Ok(())
-            }
-            Op::Gep { dst, base, off, terms } => {
-                self.charge_app(OpClass::Gep, self.config.cost.gep)?;
-                let mut addr = fetch(code, bf, frame, *base)?.as_int().wrapping_add(*off);
-                for t in terms.iter() {
-                    let signed = match &t.spec {
-                        IdxSpec::RawConst(v) => *v,
-                        IdxSpec::Signed(ty) => match fetch(code, bf, frame, t.src)? {
-                            RtVal::Int(x) => bf.ints[*ty as usize].signed(x),
-                            other => other.as_signed(&bf.types[*ty as usize]),
-                        },
-                        IdxSpec::Unsigned => fetch(code, bf, frame, t.src)?.as_int() as i64,
-                    };
-                    addr = addr.wrapping_add(signed.wrapping_mul(t.size) as u64);
+        if edge == NO_EDGE {
+            return Ok(());
+        }
+        let moves = &bf.edges[edge as usize];
+        if bf.edge_seq[edge as usize] {
+            for m in moves.iter() {
+                if let MoveEntry::Move { dst, src } = m {
+                    frame[*dst as usize] = fetch(code, bf, frame, *src)?;
                 }
-                frame[*dst as usize] = RtVal::Int(addr);
-                Ok(())
             }
-            Op::Cast { dst, op, from, to, val } => {
-                self.charge_app(OpClass::Cast, self.config.cost.arith)?;
-                let v = fetch(code, bf, frame, *val)?;
-                let r = match v {
-                    RtVal::Int(x) => {
-                        int_cast(*op, bf.ints[*from as usize], bf.ints[*to as usize], x)
-                    }
-                    RtVal::Float(_) => None,
-                };
-                frame[*dst as usize] = match r {
-                    Some(x) => RtVal::Int(x),
-                    None => exec_cast(*op, v, &bf.types[*from as usize], &bf.types[*to as usize]),
-                };
-                Ok(())
+            return Ok(());
+        }
+        self.phi_scratch.clear();
+        for m in moves.iter() {
+            match m {
+                MoveEntry::Move { dst, src } => {
+                    self.phi_scratch.push((*dst, fetch(code, bf, frame, *src)?))
+                }
+                MoveEntry::Missing(msg) => return Err(Trap::Unsupported(msg.to_string())),
             }
-            Op::Select { dst, cond, t, e } => {
-                self.charge_app(OpClass::Select, self.config.cost.arith)?;
-                let c = fetch(code, bf, frame, *cond)?.as_int();
-                let v = if c & 1 != 0 {
-                    fetch(code, bf, frame, *t)?
-                } else {
-                    fetch(code, bf, frame, *e)?
-                };
-                frame[*dst as usize] = v;
-                Ok(())
-            }
-            Op::Alloca { dst, size, count } => {
-                self.charge_app(OpClass::Alloca, self.config.cost.alloca)?;
-                let n = fetch(code, bf, frame, *count)?.as_int();
-                let total = size.saturating_mul(n.max(1));
-                let addr = (self.stack_ptr + 15) & !15;
-                self.stack_ptr = addr + total;
-                self.mem.map(addr, total);
-                frame[*dst as usize] = RtVal::Int(addr);
-                Ok(())
-            }
-            op => self.exec_bc_data(code, bf, frame, op),
+        }
+        for &(dst, v) in self.phi_scratch.iter() {
+            frame[dst as usize] = v;
+        }
+        Ok(())
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_load(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        ty: u32,
+        width: u64,
+        ptr: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Load, self.config.cost.load)?;
+        self.load_charged(code, bf, frame, dst, ty, width, ptr)
+    }
+
+    /// A load after its charge: fetch the pointer, read, write the result.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[allow(clippy::too_many_arguments)]
+    fn load_charged(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        ty: u32,
+        width: u64,
+        ptr: Src,
+    ) -> Result<(), Trap> {
+        let addr = fetch(code, bf, frame, ptr)?.as_int();
+        let bits = self.mem.read_uint(addr, width).map_err(Vm::mem_err)?;
+        let t = bf.ints[ty as usize];
+        frame[dst as usize] =
+            if t.float { RtVal::Float(f64::from_bits(bits)) } else { RtVal::Int(bits & t.mask) };
+        Ok(())
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_store(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &[RtVal],
+        width: u64,
+        ptr: Src,
+        val: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Store, self.config.cost.store)?;
+        self.store_charged(code, bf, frame, width, ptr, val)
+    }
+
+    /// A store after its charge: fetch the pointer, then the value, write.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn store_charged(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &[RtVal],
+        width: u64,
+        ptr: Src,
+        val: Src,
+    ) -> Result<(), Trap> {
+        let addr = fetch(code, bf, frame, ptr)?.as_int();
+        let v = fetch(code, bf, frame, val)?;
+        self.mem.write_uint(addr, width, v.to_bits()).map_err(Vm::mem_err)
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_bin(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        op: BinOp,
+        ty: u32,
+        lhs: Src,
+        rhs: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Bin, self.config.cost.arith)?;
+        let a = fetch(code, bf, frame, lhs)?;
+        let b = fetch(code, bf, frame, rhs)?;
+        let v = match (a, b) {
+            (RtVal::Int(x), RtVal::Int(y)) => int_bin(op, bf.ints[ty as usize], x, y),
+            _ => None,
+        };
+        frame[dst as usize] = match v {
+            Some(v) => RtVal::Int(v),
+            None => exec_bin(op, &bf.types[ty as usize], a, b)?,
+        };
+        Ok(())
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_icmp(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        pred: IcmpPred,
+        ty: u32,
+        lhs: Src,
+        rhs: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Icmp, self.config.cost.arith)?;
+        let a = fetch(code, bf, frame, lhs)?;
+        let b = fetch(code, bf, frame, rhs)?;
+        let r = match (a, b) {
+            (RtVal::Int(x), RtVal::Int(y)) => int_icmp(pred, bf.ints[ty as usize], x, y),
+            _ => exec_icmp(pred, &bf.types[ty as usize], a, b),
+        };
+        frame[dst as usize] = RtVal::Int(r as u64);
+        Ok(())
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_gep(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        base: Src,
+        off: u64,
+        terms: &[GepTerm],
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Gep, self.config.cost.gep)?;
+        let mut addr = fetch(code, bf, frame, base)?.as_int().wrapping_add(off);
+        for t in terms {
+            let signed = match &t.spec {
+                IdxSpec::RawConst(v) => *v,
+                IdxSpec::Signed(ty) => match fetch(code, bf, frame, t.src)? {
+                    RtVal::Int(x) => bf.ints[*ty as usize].signed(x),
+                    other => other.as_signed(&bf.types[*ty as usize]),
+                },
+                IdxSpec::Unsigned => fetch(code, bf, frame, t.src)?.as_int() as i64,
+            };
+            addr = addr.wrapping_add(signed.wrapping_mul(t.size) as u64);
+        }
+        frame[dst as usize] = RtVal::Int(addr);
+        Ok(())
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_cast(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        op: CastOp,
+        from: u32,
+        to: u32,
+        val: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Cast, self.config.cost.arith)?;
+        let v = fetch(code, bf, frame, val)?;
+        let r = match v {
+            RtVal::Int(x) => int_cast(op, bf.ints[from as usize], bf.ints[to as usize], x),
+            RtVal::Float(_) => None,
+        };
+        frame[dst as usize] = match r {
+            Some(x) => RtVal::Int(x),
+            None => exec_cast(op, v, &bf.types[from as usize], &bf.types[to as usize]),
+        };
+        Ok(())
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_select(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        cond: Src,
+        t: Src,
+        e: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Select, self.config.cost.arith)?;
+        let c = fetch(code, bf, frame, cond)?.as_int();
+        frame[dst as usize] =
+            if c & 1 != 0 { fetch(code, bf, frame, t)? } else { fetch(code, bf, frame, e)? };
+        Ok(())
+    }
+
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_alloca(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        size: u64,
+        count: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Alloca, self.config.cost.alloca)?;
+        let n = fetch(code, bf, frame, count)?.as_int();
+        let total = size.saturating_mul(n.max(1));
+        let addr = (self.stack_ptr + 15) & !15;
+        self.stack_ptr = addr + total;
+        self.mem.map(addr, total);
+        frame[dst as usize] = RtVal::Int(addr);
+        Ok(())
+    }
+
+    /// Ret charges, then evaluates its operand.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_ret(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &[RtVal],
+        val: Option<Src>,
+    ) -> Result<Option<RtVal>, Trap> {
+        self.charge_app(OpClass::Ret, self.config.cost.ret)?;
+        match val {
+            None => Ok(None),
+            Some(s) => Ok(Some(fetch(code, bf, frame, s)?)),
         }
     }
 
-    /// Terminator opcodes. The `#[inline]` hint folds them into the
-    /// dispatch loop in release builds; unoptimized builds ignore the hint,
-    /// keeping the per-recursion stack frame of `exec_bc_inner` small.
-    #[inline]
-    fn bc_term(
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_br(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        target: u32,
+        edge: u32,
+    ) -> Result<usize, Trap> {
+        self.charge_app(OpClass::Br, self.config.cost.br)?;
+        self.run_edge(code, bf, frame, edge)?;
+        Ok(target as usize)
+    }
+
+    /// [`Op::BrTest`]: the branch, then the [`Op::TestBr`] it lands on.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_br_test(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        target: u32,
+        edge: u32,
+    ) -> Result<usize, Trap> {
+        let pc = self.bc_br(code, bf, frame, target, edge)?;
+        let Op::TestBr(t) = &bf.ops[pc] else { unreachable!("validated branch-to-test target") };
+        self.bc_test_br(code, bf, frame, pc, t)
+    }
+
+    /// CondBr charges, evaluates `cond`, runs the taken edge, and returns
+    /// the taken target. `arms` is `[tt, te, et, ee]`.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_condbr(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        cond: Src,
+        arms: [u32; 4],
+    ) -> Result<usize, Trap> {
+        self.charge_app(OpClass::CondBr, self.config.cost.condbr)?;
+        let c = fetch(code, bf, frame, cond)?.as_int();
+        let (t, e) = if c & 1 != 0 { (arms[0], arms[1]) } else { (arms[2], arms[3]) };
+        self.run_edge(code, bf, frame, e)?;
+        Ok(t as usize)
+    }
+
+    /// [`Op::TestBr`] at `pc`: when the whole chain's charge ends before
+    /// the next budget event and both `icmp` operands are integers, runs
+    /// the chain and its `condbr` with their exact accounting and returns
+    /// the taken target. Otherwise runs the first `icmp` alone and
+    /// returns `pc + 1`, where the rest of the chain waits.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_test_br(
         &mut self,
         code: &BcModule,
         bf: &BcFunc,
         frame: &mut [RtVal],
         pc: usize,
-    ) -> Result<Flow, Trap> {
-        match &bf.ops[pc] {
-            Op::Ret { val } => {
-                self.charge_app(OpClass::Ret, self.config.cost.ret)?;
-                match val {
-                    None => Ok(Flow::Return(None)),
-                    Some(s) => Ok(Flow::Return(Some(fetch(code, bf, frame, *s)?))),
+        t: &TestBrOp,
+    ) -> Result<usize, Trap> {
+        let cost = self.config.cost;
+        let chained = t.form != TestForm::Bare;
+        let arith = if chained { 3 * cost.arith } else { cost.arith };
+        let total = arith + cost.condbr;
+        if self.stats.cost_total.saturating_add(total) < self.next_event_at {
+            if let (Some(x), Some(y)) = (peek_int(bf, frame, t.lhs), peek_int(bf, frame, t.rhs)) {
+                let r = int_icmp(t.pred, bf.ints[t.ty as usize], x, y) as u64;
+                frame[t.dst as usize] = RtVal::Int(r);
+                let c = if t.form == TestForm::Eq { r ^ 1 } else { r };
+                self.stats.cost_total += total;
+                self.stats.cost_app += total;
+                self.op_metrics.record(OpClass::Icmp, cost.arith);
+                if chained {
+                    frame[t.ext as usize] = RtVal::Int(r);
+                    frame[t.test as usize] = RtVal::Int(c);
+                    self.stats.instrs_executed += 3;
+                    self.op_metrics.record(OpClass::Cast, cost.arith);
+                    self.op_metrics.record(OpClass::Icmp, cost.arith);
+                } else {
+                    self.stats.instrs_executed += 1;
                 }
+                self.op_metrics.record(OpClass::CondBr, cost.condbr);
+                let (target, edge) = if c != 0 { (t.tt, t.te) } else { (t.et, t.ee) };
+                self.run_edge(code, bf, frame, edge)?;
+                return Ok(target as usize);
             }
-            Op::Br { target, edge } => {
-                self.charge_app(OpClass::Br, self.config.cost.br)?;
-                run_edge(code, bf, frame, *edge, &mut self.phi_scratch)?;
-                Ok(Flow::Jump(*target as usize))
-            }
-            Op::CondBr { cond, tt, te, et, ee } => {
-                self.charge_app(OpClass::CondBr, self.config.cost.condbr)?;
-                let c = fetch(code, bf, frame, *cond)?.as_int();
-                let (t, e) = if c & 1 != 0 { (*tt, *te) } else { (*et, *ee) };
-                run_edge(code, bf, frame, e, &mut self.phi_scratch)?;
-                Ok(Flow::Jump(t as usize))
-            }
-            Op::Unreachable => Err(Trap::Unsupported("executed unreachable".into())),
-            _ => unreachable!("non-terminator opcode routed to bc_term"),
         }
+        self.stats.instrs_executed += 1;
+        self.bc_icmp(code, bf, frame, t.dst, t.pred, t.ty, t.lhs, t.rhs)
+            .map_err(|e| e.with_frame(&bf.name, bf.locs[pc]))?;
+        Ok(pc + 1)
+    }
+
+    /// [`Op::CheckedAccess`] at `pc`: when the check's fast path passes and
+    /// the three charges end before the next budget event, runs the `gep`,
+    /// the check and the access with their exact accounting (a fault in the
+    /// access traps at the access's location) and returns `pc + 3`.
+    /// Otherwise runs the `gep` alone and returns `pc + 1`, where the check
+    /// and the access wait.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn bc_checked_access(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        pc: usize,
+        a: &CheckedAccessOp,
+    ) -> Result<usize, Trap> {
+        let (Op::SbCheck(c) | Op::LfCheck(c)) = &bf.ops[pc + 1] else {
+            unreachable!("validated checked access")
+        };
+        let access = &bf.ops[pc + 2];
+        if self.checked_access_pass(code, bf, frame, a, c, access) {
+            let r = match *access {
+                Op::Load { dst, ty, width, ptr } => {
+                    self.load_charged(code, bf, frame, dst, ty, width, ptr)
+                }
+                Op::Store { width, ptr, val } => {
+                    self.store_charged(code, bf, frame, width, ptr, val)
+                }
+                _ => unreachable!("validated checked access"),
+            };
+            r.map_err(|e| e.with_frame(&bf.name, bf.locs[pc + 2]))?;
+            return Ok(pc + 3);
+        }
+        self.stats.instrs_executed += 1;
+        let term = a.term.map(|t| t.gep_term());
+        self.bc_gep(code, bf, frame, a.dst, a.base, a.off, term.as_slice())
+            .map_err(|e| e.with_frame(&bf.name, bf.locs[pc]))?;
+        Ok(pc + 1)
+    }
+
+    /// The pass path of a checked access, up to the access's memory
+    /// operation: computes the `gep` into its register, runs the check's
+    /// fast path, and on a pass applies the accounting of all three
+    /// components and returns `true`. Returns `false` having changed
+    /// nothing but the `gep`'s register (which the fallback rewrites with
+    /// the same value, since the `gep` does not read it).
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn checked_access_pass(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        a: &CheckedAccessOp,
+        c: &CheckOp,
+        access: &Op,
+    ) -> bool {
+        let cost = self.config.cost;
+        let (class, charge) = match access {
+            Op::Load { .. } => (OpClass::Load, cost.load),
+            _ => (OpClass::Store, cost.store),
+        };
+        let Some(base) = peek_int(bf, frame, a.base) else { return false };
+        let mut addr = base.wrapping_add(a.off);
+        if let Some(t) = a.term {
+            let Some(x) = peek_int(bf, frame, t.src) else { return false };
+            let signed = if t.ty == NO_TYPE { x as i64 } else { bf.ints[t.ty as usize].signed(x) };
+            addr = addr.wrapping_add(signed.wrapping_mul(t.size) as u64);
+        }
+        frame[a.dst as usize] = RtVal::Int(addr);
+        if !self.bc_check_pass(code, bf, frame, c, cost.gep + charge) {
+            return false;
+        }
+        self.stats.cost_total += cost.gep + charge;
+        self.stats.cost_app += cost.gep + charge;
+        self.stats.instrs_executed += 3;
+        self.op_metrics.record(OpClass::Gep, cost.gep);
+        self.op_metrics.record(class, charge);
+        true
     }
 
     /// The two call opcodes that can recurse into `exec_bc`. Only this
@@ -500,17 +846,20 @@ impl Vm {
     /// caller runs the closure — the reference, and the only path that
     /// reports a violation. The flamegraph frame the closure path pushes
     /// and pops is unobservable here, since no sample can fall due.
-    #[inline]
+    /// `reserve` is further charge that must also end before the next
+    /// budget event (the rest of a checked access; zero for a lone check).
+    #[cfg_attr(not(debug_assertions), inline(always))]
     fn bc_check_pass(
         &mut self,
         code: &BcModule,
         bf: &BcFunc,
         frame: &[RtVal],
         c: &CheckOp,
+        reserve: u64,
     ) -> bool {
         let Some(fast) = code.host_fast[c.host as usize] else { return false };
         if c.site as usize >= code.nsites
-            || self.stats.cost_total.saturating_add(fast.charge) >= self.next_event_at
+            || self.stats.cost_total.saturating_add(fast.charge + reserve) >= self.next_event_at
         {
             return false;
         }
@@ -518,7 +867,7 @@ impl Vm {
         let n = c.n as usize;
         for (slot, &a) in buf[..n].iter_mut().zip(c.args.iter()) {
             // A trapping operand is the closure path's to report.
-            let Ok(v) = fetch(code, bf, frame, a) else { return false };
+            let Some(v) = peek(bf, frame, a) else { return false };
             *slot = v;
         }
         let Some(wide) = (fast.pass)(&buf[..n]) else { return false };
@@ -573,97 +922,141 @@ impl Vm {
         Ok(r)
     }
 
-    /// The colder data opcodes (the hot ones live in [`Vm::bc_data_hot`]),
-    /// one arm per walker `exec_data_instr` arm, preserving its
-    /// charge/evaluate/act ordering exactly.
+    /// The folded-`gep` fallback for chains with dynamic struct indices:
+    /// walks the type at runtime exactly like the walker.
     #[inline(never)]
-    fn exec_bc_data(
+    #[allow(clippy::too_many_arguments)]
+    fn bc_gep_dyn(
         &mut self,
         code: &BcModule,
         bf: &BcFunc,
         frame: &mut [RtVal],
-        op: &Op,
+        dst: u32,
+        elem_ty: u32,
+        base: Src,
+        indices: &[(Src, IdxSpec)],
     ) -> Result<(), Trap> {
-        let cost = self.config.cost;
-        match op {
-            Op::GepDyn { dst, elem_ty, base, indices } => {
-                self.charge_app(OpClass::Gep, cost.gep)?;
-                let mut addr = fetch(code, bf, frame, *base)?.as_int();
-                let mut cur_ty = bf.types[*elem_ty as usize].clone();
-                for (i, (src, spec)) in indices.iter().enumerate() {
-                    let signed = match spec {
-                        IdxSpec::RawConst(v) => *v,
-                        IdxSpec::Signed(ty) => {
-                            fetch(code, bf, frame, *src)?.as_signed(&bf.types[*ty as usize])
-                        }
-                        IdxSpec::Unsigned => fetch(code, bf, frame, *src)?.as_int() as i64,
-                    };
-                    if i == 0 {
-                        addr =
-                            addr.wrapping_add(signed.wrapping_mul(cur_ty.size_of() as i64) as u64);
-                    } else {
-                        match &cur_ty {
-                            Type::Struct(_) => {
-                                let fi = signed as usize;
-                                addr = addr.wrapping_add(cur_ty.field_offset(fi));
-                                cur_ty = cur_ty.element_type(fi).clone();
-                            }
-                            Type::Array(elem, _) => {
-                                addr =
-                                    addr.wrapping_add(
-                                        signed.wrapping_mul(elem.size_of() as i64) as u64
-                                    );
-                                cur_ty = (**elem).clone();
-                            }
-                            other => {
-                                return Err(Trap::Unsupported(format!(
-                                    "gep step into non-aggregate {other}"
-                                )))
-                            }
-                        }
+        self.charge_app(OpClass::Gep, self.config.cost.gep)?;
+        let mut addr = fetch(code, bf, frame, base)?.as_int();
+        let mut cur_ty = bf.types[elem_ty as usize].clone();
+        for (i, (src, spec)) in indices.iter().enumerate() {
+            let signed = match spec {
+                IdxSpec::RawConst(v) => *v,
+                IdxSpec::Signed(ty) => {
+                    fetch(code, bf, frame, *src)?.as_signed(&bf.types[*ty as usize])
+                }
+                IdxSpec::Unsigned => fetch(code, bf, frame, *src)?.as_int() as i64,
+            };
+            if i == 0 {
+                addr = addr.wrapping_add(signed.wrapping_mul(cur_ty.size_of() as i64) as u64);
+            } else {
+                match &cur_ty {
+                    Type::Struct(_) => {
+                        let fi = signed as usize;
+                        addr = addr.wrapping_add(cur_ty.field_offset(fi));
+                        cur_ty = cur_ty.element_type(fi).clone();
+                    }
+                    Type::Array(elem, _) => {
+                        addr = addr.wrapping_add(signed.wrapping_mul(elem.size_of() as i64) as u64);
+                        cur_ty = (**elem).clone();
+                    }
+                    other => {
+                        return Err(Trap::Unsupported(format!(
+                            "gep step into non-aggregate {other}"
+                        )))
                     }
                 }
-                frame[*dst as usize] = RtVal::Int(addr);
             }
-            Op::Fcmp { dst, pred, lhs, rhs } => {
-                self.charge_app(OpClass::Fcmp, cost.arith)?;
-                let a = fetch(code, bf, frame, *lhs)?.as_float();
-                let b = fetch(code, bf, frame, *rhs)?.as_float();
-                let r = match pred {
-                    mir::instr::FcmpPred::Oeq => a == b,
-                    mir::instr::FcmpPred::One => a != b,
-                    mir::instr::FcmpPred::Olt => a < b,
-                    mir::instr::FcmpPred::Ole => a <= b,
-                    mir::instr::FcmpPred::Ogt => a > b,
-                    mir::instr::FcmpPred::Oge => a >= b,
-                };
-                frame[*dst as usize] = RtVal::Int(r as u64);
-            }
-            Op::MemCpy { dst, src, len } => {
-                let d = fetch(code, bf, frame, *dst)?.as_int();
-                let s = fetch(code, bf, frame, *src)?.as_int();
-                let n = fetch(code, bf, frame, *len)?.as_int();
-                self.charge_app(OpClass::MemCpy, cost.memop_base + (n / 8) * cost.memop_per_word)?;
-                self.mem.copy(d, s, n).map_err(Vm::mem_err)?;
-            }
-            Op::MemSet { dst, byte, len } => {
-                let d = fetch(code, bf, frame, *dst)?.as_int();
-                let b = fetch(code, bf, frame, *byte)?.as_int() as u8;
-                let n = fetch(code, bf, frame, *len)?.as_int();
-                self.charge_app(OpClass::MemSet, cost.memop_base + (n / 8) * cost.memop_per_word)?;
-                self.mem.fill(d, b, n).map_err(Vm::mem_err)?;
-            }
-            Op::Nop => {}
-            Op::TrapUnsupported { charge, class, pre, msg } => {
-                self.charge_app(*class, *charge)?;
-                for &s in pre.iter() {
-                    fetch(code, bf, frame, s)?;
-                }
-                return Err(Trap::Unsupported(msg.to_string()));
-            }
-            _ => unreachable!("call/terminator/hot opcode routed to exec_bc_data"),
         }
+        frame[dst as usize] = RtVal::Int(addr);
         Ok(())
+    }
+
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_fcmp(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &mut [RtVal],
+        dst: u32,
+        pred: FcmpPred,
+        lhs: Src,
+        rhs: Src,
+    ) -> Result<(), Trap> {
+        self.charge_app(OpClass::Fcmp, self.config.cost.arith)?;
+        let a = fetch(code, bf, frame, lhs)?.as_float();
+        let b = fetch(code, bf, frame, rhs)?.as_float();
+        let r = match pred {
+            FcmpPred::Oeq => a == b,
+            FcmpPred::One => a != b,
+            FcmpPred::Olt => a < b,
+            FcmpPred::Ole => a <= b,
+            FcmpPred::Ogt => a > b,
+            FcmpPred::Oge => a >= b,
+        };
+        frame[dst as usize] = RtVal::Int(r as u64);
+        Ok(())
+    }
+
+    /// `memcpy` evaluates all three operands, then charges by length.
+    #[inline(never)]
+    fn bc_memcpy(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &[RtVal],
+        dst: Src,
+        src: Src,
+        len: Src,
+    ) -> Result<(), Trap> {
+        let cost = self.config.cost;
+        let d = fetch(code, bf, frame, dst)?.as_int();
+        let s = fetch(code, bf, frame, src)?.as_int();
+        let n = fetch(code, bf, frame, len)?.as_int();
+        self.charge_app(OpClass::MemCpy, cost.memop_base + (n / 8) * cost.memop_per_word)?;
+        self.mem.copy(d, s, n).map_err(Vm::mem_err)
+    }
+
+    /// `memset` evaluates all three operands, then charges by length.
+    #[inline(never)]
+    fn bc_memset(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &[RtVal],
+        dst: Src,
+        byte: Src,
+        len: Src,
+    ) -> Result<(), Trap> {
+        let cost = self.config.cost;
+        let d = fetch(code, bf, frame, dst)?.as_int();
+        let b = fetch(code, bf, frame, byte)?.as_int() as u8;
+        let n = fetch(code, bf, frame, len)?.as_int();
+        self.charge_app(OpClass::MemSet, cost.memop_base + (n / 8) * cost.memop_per_word)?;
+        self.mem.fill(d, b, n).map_err(Vm::mem_err)
+    }
+
+    /// An instruction known at compile time to trap: charges, fetches the
+    /// operands the walker would evaluate first, then raises the message.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn bc_trap_unsupported(
+        &mut self,
+        code: &BcModule,
+        bf: &BcFunc,
+        frame: &[RtVal],
+        charge: u64,
+        class: OpClass,
+        pre: &[Src],
+        msg: &str,
+    ) -> Result<(), Trap> {
+        self.charge_app(class, charge)?;
+        for &s in pre {
+            fetch(code, bf, frame, s)?;
+        }
+        Err(Trap::Unsupported(msg.to_string()))
     }
 }
 

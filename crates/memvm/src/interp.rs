@@ -238,9 +238,10 @@ pub struct Vm {
     /// Retired bytecode register frames, recycled across calls so the
     /// dispatch loop does not pay an allocation per function invocation.
     pub(crate) frame_pool: Vec<Vec<RtVal>>,
-    /// Shared phi-move buffer for the bytecode backend's edge moves. Only
-    /// live inside a single `run_edge` application (no call can intervene),
-    /// so one buffer serves every recursion depth.
+    /// Shared phi-move buffer for the bytecode backend's parallel edge
+    /// moves (edges whose moves can run in order skip it). Only live
+    /// inside a single `run_edge` application (no call can intervene), so
+    /// one buffer serves every recursion depth.
     pub(crate) phi_scratch: Vec<(u32, RtVal)>,
     /// Per-opcode-class execute counts and attributed cost. Lives on the
     /// `Vm` (not in [`VmStats`]) so it survives trapped runs and stays out

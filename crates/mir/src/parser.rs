@@ -14,6 +14,11 @@ use crate::instr::{BinOp, CastOp, FcmpPred, IcmpPred, InstrKind, Operand, Termin
 use crate::module::{Effect, Global, GlobalAttrs, HostDecl, Init, Module};
 use crate::types::Type;
 
+/// How many `[`/`{` levels a type may nest. The type parser recurses once
+/// per level; past the bound, parsing fails with a [`ParseError`] instead
+/// of overflowing the stack.
+pub const MAX_NESTING: usize = 128;
+
 /// A parse failure with line information.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParseError {
@@ -328,11 +333,13 @@ type PBlock = (String, Vec<(Option<String>, InstrKindP, Option<u32>)>, TermP);
 struct Parser<'a> {
     lex: Lexer<'a>,
     peeked: Option<Tok>,
+    /// Current type nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Parser<'a> {
-        Parser { lex: Lexer::new(src), peeked: None }
+        Parser { lex: Lexer::new(src), peeked: None, depth: 0 }
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -385,6 +392,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Enters one aggregate level of a type. A parse error ends the parse,
+    /// so error paths need not restore the count.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.error(format!("type nesting deeper than {MAX_NESTING}")));
+        }
+        Ok(())
+    }
+
     fn parse_type(&mut self) -> Result<Type, ParseError> {
         match self.next()? {
             Tok::Ident(s) => match s.as_str() {
@@ -399,6 +416,7 @@ impl<'a> Parser<'a> {
                 other => Err(self.error(format!("unknown type '{other}'"))),
             },
             Tok::LBracket => {
+                self.enter()?;
                 let n = self.expect_int()?;
                 if n < 0 {
                     return Err(self.error("negative array length"));
@@ -409,9 +427,11 @@ impl<'a> Parser<'a> {
                 }
                 let elem = self.parse_type()?;
                 self.expect(Tok::RBracket)?;
+                self.depth -= 1;
                 Ok(Type::array(elem, n as u64))
             }
             Tok::LBrace => {
+                self.enter()?;
                 let mut fields = vec![];
                 if !self.eat(&Tok::RBrace)? {
                     loop {
@@ -422,6 +442,7 @@ impl<'a> Parser<'a> {
                         self.expect(Tok::Comma)?;
                     }
                 }
+                self.depth -= 1;
                 Ok(Type::structure(fields))
             }
             t => Err(self.error(format!("expected type, found {t:?}"))),
@@ -1187,6 +1208,26 @@ mod tests {
     use super::*;
     use crate::printer::print_module;
     use crate::verifier::verify_module;
+
+    /// A global whose type nests `depth` levels of `[1 x ...]` (or of
+    /// `{...}` when `structs`) around `i8`.
+    fn nested_global(depth: usize, structs: bool) -> String {
+        let (open, close) = if structs { ("{", "}") } else { ("[1 x ", "]") };
+        format!("global @g : {}i8{} = zero\n", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn type_nesting_is_bounded() {
+        for structs in [false, true] {
+            let m = parse_module(&nested_global(MAX_NESTING, structs)).unwrap();
+            assert_eq!(m.globals[0].ty.size_of(), 1);
+            for depth in [MAX_NESTING + 1, 100_000] {
+                let e = parse_module(&nested_global(depth, structs)).unwrap_err();
+                assert_eq!(e.line, 1);
+                assert_eq!(e.message, format!("type nesting deeper than {MAX_NESTING}"));
+            }
+        }
+    }
 
     #[test]
     fn parses_minimal_function() {
