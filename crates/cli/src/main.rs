@@ -48,13 +48,16 @@
 //!                               driver/CLI. Stops when a client sends a
 //!                               shutdown op (drains first).
 //! mi bench-serve [--clients N] [--requests N] [--action compile|run]
-//!                [--programs N] [--socket PATH] [--vm walk|bytecode]
+//!                [--programs N] [--window N] [--socket PATH]
+//!                [--vm walk|bytecode]
 //!                               closed-loop daemon throughput benchmark:
 //!                               drive the job matrix through N pipelined
 //!                               clients twice (cold store, then warm) and
 //!                               report req/s and p50/p90/p99 latency per
-//!                               pass. Without --socket an in-process daemon
-//!                               is started and shut down automatically.
+//!                               pass; each client keeps at most --window
+//!                               jobs in flight (default 32). Without
+//!                               --socket an in-process daemon is started
+//!                               and shut down automatically.
 //!
 //! options:
 //!   --mech softbound|lowfat|redzone|none    mechanism (default softbound;
@@ -107,8 +110,9 @@ fn usage() -> ExitCode {
     eprintln!("       mi fuzz [--seed S] [--cases N] [--jobs N] [--fail-dir DIR]");
     eprintln!("               [--no-shrink] [--replay IDX] [--vm walk|bytecode]");
     eprintln!("       mi serve [--socket PATH] [--workers N] [--queue N] [--deadline-ms N]");
+    eprintln!("               [--vm walk|bytecode]");
     eprintln!("       mi bench-serve [--clients N] [--requests N] [--action compile|run]");
-    eprintln!("               [--programs N] [--socket PATH]");
+    eprintln!("               [--programs N] [--window N] [--socket PATH] [--vm walk|bytecode]");
     eprintln!("       (see `crates/cli/src/main.rs` header for options)");
     ExitCode::from(2)
 }

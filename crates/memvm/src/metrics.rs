@@ -6,8 +6,8 @@
 //! captured as the `cost_total` delta across the invocation, so allocator /
 //! metadata / I/O helper costs land here too). The attribution is complete
 //! by construction: summing [`OpMetrics`] costs over every class reproduces
-//! [`crate::VmStats::cost_total`] exactly, which the metrics export and the
-//! CI reconciliation check assert.
+//! [`crate::VmStats::cost_total`] exactly, which the metrics export relies
+//! on and `tests/observability.rs` asserts.
 //!
 //! Both execution backends classify identically (the bytecode compiler
 //! pre-computes host classes per pool entry; the walker classifies by name),

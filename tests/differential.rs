@@ -21,8 +21,9 @@
 
 mod common;
 
-use bench::driver::{Driver, JobConfig, Program};
-use meminstrument::{Mechanism, OptConfig};
+use bench::driver::{benchmark_programs, paper_sweep_configs, Driver, JobConfig, Program};
+use meminstrument::{Instrument, Mechanism, MiMode, OptConfig};
+use memvm::{VmBackend, VmConfig};
 use mir::pipeline::{ExtensionPoint, OptLevel};
 
 /// The differential matrix: 2 baselines + 2 mechanisms × (O0 + 3×O3) = 10
@@ -236,18 +237,37 @@ fn corpus_ipo_elision_preserves_semantics_and_reduces_checks() {
     let mut failures = vec![];
     let mut helped = 0usize;
     for (prog, safe) in &programs {
+        let cell = |cfg: &JobConfig| {
+            report
+                .get(&prog.name, cfg)
+                .unwrap_or_else(|| panic!("{}: missing cell for {}", prog.name, cfg))
+        };
+        // Elision is invisible on every program, trapping ones included:
+        // the full and `-noipo` builds print the same lines and end the
+        // same way, with the same return value or the same trap.
+        for (_, ladder) in &ladders {
+            let (full, noipo) = (cell(&ladder[0]), cell(&ladder[1]));
+            let same = match (&full.outcome, &noipo.outcome) {
+                (Ok(a), Ok(b)) => a.output == b.output && a.ret == b.ret,
+                (Err(a), Err(b)) => a == b,
+                _ => false,
+            };
+            if !same {
+                failures.push(format!(
+                    "{} [{}]: outcome diverges from [{}]:\n  {:?}\nvs\n  {:?}",
+                    prog.name,
+                    full.config,
+                    noipo.config,
+                    full.outcome.as_ref().map(|ok| (&ok.output, ok.ret)),
+                    noipo.outcome.as_ref().map(|ok| (&ok.output, ok.ret))
+                ));
+            }
+        }
         if !safe {
             continue;
         }
         for (mech, ladder) in &ladders {
-            let cells: Vec<_> = ladder
-                .iter()
-                .map(|cfg| {
-                    report
-                        .get(&prog.name, cfg)
-                        .unwrap_or_else(|| panic!("{}: missing cell for {}", prog.name, cfg))
-                })
-                .collect();
+            let cells: Vec<_> = ladder.iter().map(cell).collect();
             let outs: Vec<_> = cells
                 .iter()
                 .map(|c| match &c.outcome {
@@ -301,6 +321,22 @@ fn corpus_ipo_elision_preserves_semantics_and_reduces_checks() {
         helped >= 15,
         "ipo elision reduced dynamic checks on only {helped} (program, mech) pairs"
     );
+    // Statically, default SoftBound elides checks across the corpus,
+    // trapping programs included (their cells carry no static counters,
+    // so each program is compiled here).
+    let eliding = programs
+        .iter()
+        .filter(|(p, _)| {
+            let module = cfront::compile_named(&p.source, &p.name)
+                .unwrap_or_else(|e| panic!("{}: frontend error: {e}", p.name));
+            Instrument::mechanism(Mechanism::SoftBound)
+                .compile(module, None)
+                .stats
+                .checks_elided_ipo
+                > 0
+        })
+        .count();
+    assert!(eliding >= 10, "softbound elides checks statically in only {eliding} corpus programs");
 }
 
 /// The report over the corpus is independent of the worker count — the
@@ -315,4 +351,91 @@ fn corpus_report_is_scheduling_independent() {
     let r1 = Driver::new(programs.clone(), configs.clone()).with_jobs(1).run();
     let r4 = Driver::new(programs, configs).with_jobs(4).run();
     assert_eq!(r1.to_json(false), r4.to_json(false));
+}
+
+/// The whole `mi eval` sweep (benchmark suite × paper configurations),
+/// checked on two fronts.
+///
+/// Scheduling independence: the `evald-report/2` JSON is byte-identical
+/// across `--jobs 1` and `--jobs 8`. So is a traced run with the flame
+/// sampler at 1000 cost units, which adds the Chrome trace, the
+/// `mi-metrics/1` export and the merged folded stacks; the tree-walker
+/// reproduces that run byte for byte, and neither tracing nor sampling
+/// changes the report.
+///
+/// Check-opt reconciliation, on the `--jobs 8` report: every SoftBound
+/// and Low-Fat full-instrumentation cell places exactly the checks it
+/// discovered, minus those dominance eliminated and those IPO elided
+/// (hoisting and widening move checks, never add or drop one). RedZone is
+/// exempt: it also counts its memcpy/memset interceptor checks as placed.
+/// At the Figure 9 configuration, each full build executes no more checks
+/// than its `-noloop` twin with the same output and return value (§5.3),
+/// the optimizer hoists or widens some checks, and at least five cells
+/// run strictly fewer checks.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full benchmark sweep is slow without optimizations")]
+fn benchmark_sweep_is_scheduling_independent_and_loop_opts_reconcile() {
+    let sweep = |jobs: usize, trace: bool, backend: VmBackend, sample_interval: u64| {
+        Driver::new(benchmark_programs(), paper_sweep_configs())
+            .with_jobs(jobs)
+            .with_trace(trace)
+            .with_vm(VmConfig { backend, sample_interval, ..VmConfig::default() })
+            .run()
+    };
+    let report = sweep(8, false, VmBackend::Bytecode, 0);
+    let json = report.to_json(false);
+    assert!(json.contains("\"schema\": \"evald-report/2\""));
+    assert_eq!(json, sweep(1, false, VmBackend::Bytecode, 0).to_json(false), "report vs --jobs");
+
+    let traced = sweep(1, true, VmBackend::Bytecode, 1000);
+    assert_eq!(json, traced.to_json(false), "tracing or sampling changed the report");
+    let (trace, metrics, flame) =
+        (traced.trace_json(), traced.metrics().to_json(), traced.flame().render());
+    assert!(!flame.is_empty(), "sampler at 1000 units took no samples");
+    for (what, other) in [
+        ("--jobs 8", sweep(8, true, VmBackend::Bytecode, 1000)),
+        ("--vm walk", sweep(8, true, VmBackend::Walk, 1000)),
+    ] {
+        assert_eq!(json, other.to_json(false), "report differs under {what}");
+        assert_eq!(trace, other.trace_json(), "trace differs under {what}");
+        assert_eq!(metrics, other.metrics().to_json(), "metrics differ under {what}");
+        assert_eq!(flame, other.flame().render(), "flame stacks differ under {what}");
+    }
+
+    for cfg in paper_sweep_configs() {
+        let checked = cfg
+            .mi_config()
+            .is_some_and(|c| c.mode == MiMode::Full && c.mechanism != Mechanism::RedZone);
+        if !checked {
+            continue;
+        }
+        for prog in &report.programs {
+            let cell = report.get(prog, &cfg).expect("sweep cell");
+            let Ok(ok) = &cell.outcome else { continue };
+            let st = &ok.instr;
+            assert_eq!(
+                st.checks_placed + st.checks_eliminated + st.checks_elided_ipo,
+                st.checks_discovered,
+                "{prog} [{cfg}]: placed checks do not reconcile"
+            );
+        }
+    }
+    let (mut hoisted, mut widened, mut improved) = (0, 0, 0);
+    for prog in &report.programs {
+        for mech in [Mechanism::SoftBound, Mechanism::LowFat] {
+            let full = report.get(prog, &Instrument::mechanism(mech)).expect("full cell");
+            let noloop = Instrument::mechanism(mech).opt(OptConfig::no_loops());
+            let noloop = report.get(prog, &noloop).expect("-noloop cell");
+            let (Ok(full), Ok(noloop)) = (&full.outcome, &noloop.outcome) else { continue };
+            hoisted += full.instr.checks_hoisted;
+            widened += full.instr.checks_widened;
+            let (full_dyn, noloop_dyn) = (full.stats.checks_executed, noloop.stats.checks_executed);
+            assert!(full_dyn <= noloop_dyn, "{prog} [{mech:?}]: {full_dyn} > {noloop_dyn} checks");
+            assert_eq!(full.output, noloop.output, "{prog} [{mech:?}]: output");
+            assert_eq!(full.ret, noloop.ret, "{prog} [{mech:?}]: ret");
+            improved += usize::from(full_dyn < noloop_dyn);
+        }
+    }
+    assert!(hoisted + widened > 0, "loop optimizer never fired");
+    assert!(improved >= 5, "dynamic checks dropped on only {improved} cells");
 }

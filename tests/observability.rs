@@ -10,9 +10,12 @@
 
 mod common;
 
-use bench::driver::{fig9_configs, paper_sweep_configs, Driver, Program, Report};
+use bench::driver::{
+    benchmark_programs, fig9_configs, paper_sweep_configs, Driver, Program, Report,
+};
 use meminstrument::{Instrument, Mechanism};
 use memvm::{VmBackend, VmConfig};
+use telemetry::json::Json;
 
 use common::corpus_programs;
 
@@ -89,18 +92,32 @@ fn flame_frames_resolve_to_module_functions() {
 }
 
 /// Exact reconciliation: per-opcode-class costs sum to `cost_total`, the
-/// sample count obeys `samples * interval <= cost_total`, and the
-/// registry's counters reproduce `VmStats` verbatim.
+/// sample count obeys `samples * interval <= cost_total`, the registry's
+/// counters reproduce `VmStats` verbatim, and the merged folded stacks
+/// hold exactly the samples the `flame_samples` series counts. Two
+/// sweeps: a corpus slice, and two headline benchmarks at the CLI's
+/// default flame interval.
 #[test]
 fn cell_metrics_reconcile_exactly_with_vm_stats() {
-    const INTERVAL: u64 = 300;
-    let programs = corpus_programs().into_iter().take(6).collect();
+    let corpus_slice: Vec<Program> = corpus_programs().into_iter().take(6).collect();
+    let headline: Vec<Program> = benchmark_programs()
+        .into_iter()
+        .filter(|p| ["183equake", "181mcf"].contains(&p.name.as_str()))
+        .collect();
+    assert_eq!(headline.len(), 2, "headline benchmarks missing");
+    for (programs, interval, jobs) in [(corpus_slice, 300, 4), (headline, 1000, 8)] {
+        reconcile_sweep(programs, interval, jobs);
+    }
+}
+
+fn reconcile_sweep(programs: Vec<Program>, interval: u64, jobs: usize) {
     let report = Driver::new(programs, paper_sweep_configs())
-        .with_jobs(4)
-        .with_vm(VmConfig { sample_interval: INTERVAL, ..VmConfig::default() })
+        .with_jobs(jobs)
+        .with_vm(VmConfig { sample_interval: interval, ..VmConfig::default() })
         .run();
     let registry = report.metrics();
     let mut checked = 0;
+    let mut samples = 0;
     for cell in &report.cells {
         let Ok(ok) = &cell.outcome else { continue };
         checked += 1;
@@ -111,8 +128,8 @@ fn cell_metrics_reconcile_exactly_with_vm_stats() {
         assert_eq!(iter_cost, s.cost_total, "{ctx}: nonzero-class iteration drops cost");
         let flame = ok.flame.as_ref().expect("sampling on");
         assert!(
-            flame.total_samples() * INTERVAL <= s.cost_total,
-            "{ctx}: {} samples x {INTERVAL} exceeds cost {}",
+            flame.total_samples() * interval <= s.cost_total,
+            "{ctx}: {} samples x {interval} exceeds cost {}",
             flame.total_samples(),
             s.cost_total
         );
@@ -123,6 +140,7 @@ fn cell_metrics_reconcile_exactly_with_vm_stats() {
         assert_eq!(registry.counter("vm_checks_executed", l), s.checks_executed, "{ctx}");
         assert_eq!(registry.gauge("vm_mapped_bytes", l), s.mapped_bytes, "{ctx}");
         assert_eq!(registry.counter("flame_samples", l), flame.total_samples(), "{ctx}");
+        samples += registry.counter("flame_samples", l);
         let cat_sum: u64 = ["app", "checks", "metadata", "allocator", "other"]
             .iter()
             .map(|c| registry.counter("vm_cost_units", &[l[0], l[1], ("category", c)]))
@@ -138,12 +156,25 @@ fn cell_metrics_reconcile_exactly_with_vm_stats() {
         assert_eq!(op_sum, s.cost_total, "{ctx}: vm_op_cost series must sum exactly");
     }
     assert!(checked > 0, "no completed cells to reconcile");
-    assert_eq!(registry.gauge("flame_sample_interval", &[]), INTERVAL);
+    assert_eq!(registry.gauge("flame_sample_interval", &[]), interval);
     assert_eq!(
         registry.counter("sweep_cells", &[("outcome", "ok")]),
         checked,
         "sweep_cells{{ok}} must count completed cells"
     );
+    let folded: u64 = report
+        .flame()
+        .render()
+        .lines()
+        .map(|l| l.rsplit_once(' ').and_then(|(_, n)| n.parse::<u64>().ok()).expect(l))
+        .sum();
+    assert_eq!(folded, samples, "merged folded stacks must hold every flame_samples sample");
+
+    let doc = Json::parse(&registry.to_json()).expect("metrics export parses");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("mi-metrics/1"));
+    let Json::Obj(members) = &doc else { panic!("metrics export is not an object") };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["schema", "counters", "gauges", "histograms"]);
 }
 
 /// The promoted trap corpus file (`fuzz_oversized_overflow_tally.c`)
