@@ -871,16 +871,36 @@ mod tests {
 
     #[test]
     fn cache_counters_reflect_matrix_shape() {
-        // 2 programs × 5 configs, 3 distinct (opt, ep) pairs per program.
-        let configs = extension_point_configs(Mechanism::SoftBound);
-        assert_eq!(configs.len(), 4);
-        let r = Driver::new(tiny_programs(), configs).with_jobs(4).run();
-        assert_eq!(r.cache.frontend_compiles, 2);
-        assert_eq!(r.cache.frontend_reuses, 8 - 2);
-        // Baseline shares the VectorizerStart prefix with one instrumented
-        // config: 3 prefixes per program.
-        assert_eq!(r.cache.prefix_compiles, 6);
-        assert_eq!(r.cache.prefix_reuses, 8 - 6);
+        // 2 programs; each O3 prefix is built from the one before it
+        // through uncounted lookups, so the counters read one miss per
+        // requested (opt, ep) key and program, whatever the worker count.
+        let stats = |frontend_compiles, frontend_reuses, prefix_compiles, prefix_reuses| {
+            CacheStats { frontend_compiles, frontend_reuses, prefix_compiles, prefix_reuses }
+        };
+        // RedZone at every extension point, VectorizerStart first: chaining
+        // creates ModuleOptimizerEarly's entry before its first real
+        // request, which must still count as a miss.
+        let mut vectorizer_first = fig9_configs();
+        vectorizer_first.extend(
+            ExtensionPoint::ALL
+                .iter()
+                .rev()
+                .map(|&ep| Instrument::mechanism(Mechanism::RedZone).at(ep)),
+        );
+        let matrices = [
+            // Baseline shares the VectorizerStart prefix with one
+            // instrumented config: 3 prefixes per program.
+            (extension_point_configs(Mechanism::SoftBound), stats(2, 8 - 2, 6, 8 - 6)),
+            // One prefix per program; the chained ones are never requested.
+            (fig9_configs(), stats(2, 6 - 2, 2, 6 - 2)),
+            (vectorizer_first, stats(2, 12 - 2, 6, 12 - 6)),
+        ];
+        for (configs, want) in matrices {
+            for jobs in [1, 8] {
+                let r = Driver::new(tiny_programs(), configs.clone()).with_jobs(jobs).run();
+                assert_eq!(r.cache, want, "{} configs, {jobs} jobs", configs.len());
+            }
+        }
     }
 
     #[test]

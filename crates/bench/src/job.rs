@@ -23,12 +23,12 @@ use std::time::{Duration, Instant};
 use meminstrument::runtime::{complete, CompiledProgram};
 use meminstrument::{InstrStats, Instrument};
 use memvm::{BcImage, Trap, VmBackend, VmConfig};
-use mir::pipeline::Pipeline;
+use mir::pipeline::{OptLevel, Pipeline};
 use mir::trace::TraceRecorder;
 use telemetry::json::{self, arr, obj, Json};
 
 use crate::driver::{cell_json, static_json, CellOk, CellTiming, CellTrap, Program};
-use crate::store::ArtifactStore;
+use crate::store::{ArtifactStore, PrefixKey};
 
 /// Where a job's source text comes from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -444,8 +444,12 @@ pub fn execute(
 ///
 /// Compilation stages flow through the store's levels (frontend → prefix →
 /// summaries → instrumented program → bytecode image), each built at most
-/// once per key; the VM stage runs last. With `trace`, the builders this
-/// job runs record their passes into it.
+/// once per key; the VM stage runs last. An untraced O3 prefix is built
+/// from the previous extension point's prefix, which the store builds or
+/// serves in turn, so a program's three O3 prefixes run each pipeline stage
+/// once. With `trace`, the builders this job runs record their passes into
+/// it, and a traced prefix is built from the frontend module so that its
+/// track holds every stage.
 ///
 /// # Errors
 ///
@@ -477,9 +481,8 @@ pub fn run_job(
     let key = (h, opts.opt, opts.ep);
     let prefix = store.prefix(key, || {
         let t = Instant::now();
-        let mut m = (*module).clone();
         let mut rec = trace.is_some().then(TraceRecorder::new);
-        Pipeline::new(opts.opt).run_to(&mut m, opts.ep, rec.as_mut());
+        let m = build_prefix(store, &module, key, rec.as_mut());
         if let Some(tr) = trace.as_deref_mut() {
             tr.prefix = rec;
         }
@@ -550,6 +553,31 @@ pub fn run_job(
         },
         JobAction::Compile => unreachable!("handled above"),
     }
+}
+
+/// Builds the pipeline prefix snapshot `key` of the frontend `module`.
+///
+/// An untraced O3 build starts from the snapshot at the previous extension
+/// point, looked up in `store` with [`ArtifactStore::chain_prefix`] and
+/// built the same way on a miss, so a program's three O3 prefixes run each
+/// stage once between them. A traced build starts from `module` itself, so
+/// `rec` holds every stage of the prefix.
+fn build_prefix(
+    store: &ArtifactStore,
+    module: &mir::Module,
+    (h, opt, ep): PrefixKey,
+    rec: Option<&mut TraceRecorder>,
+) -> mir::Module {
+    let from = ep.previous().filter(|_| rec.is_none() && opt != OptLevel::O0);
+    let mut m = match from {
+        Some(prev) => {
+            let key = (h, opt, prev);
+            (*store.chain_prefix(key, || build_prefix(store, module, key, None))).clone()
+        }
+        None => module.clone(),
+    };
+    Pipeline::new(opt).run_between(&mut m, from, ep, rec);
+    m
 }
 
 /// The executed check sites of `profile` (over a table of `n_sites`)

@@ -38,6 +38,17 @@
 //! execution instead ([`ArtifactStore::insert_bytecode`], first writer
 //! wins), because the image comes out of the VM that runs the job.
 //!
+//! **Chained prefixes.** An O3 prefix is built from the snapshot at the
+//! extension point before it (see [`crate::job::run_job`]):
+//! VectorizerStart's from ScalarOptimizerLate's, and that one from
+//! ModuleOptimizerEarly's, so each pipeline stage runs once per program.
+//! The builder fetches the earlier snapshot with
+//! [`ArtifactStore::chain_prefix`], which shares the entry and its single
+//! flight but is not counted. An entry that chaining created counts as a
+//! miss on its first counted lookup and as a hit after that. So the
+//! counters read as if every requested prefix had been built from the
+//! frontend module, and they stay deterministic at any number of threads.
+//!
 //! **Release.** A long-running daemon relies on LRU eviction. A sweep knows
 //! better: the evaluation driver calls [`ArtifactStore::release`] to drop a
 //! cell's `compiled`/`bytecode` entries when the cell finishes and a
@@ -64,7 +75,7 @@ use telemetry::Registry;
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Key of the `prefix` and `summaries` levels.
-type PrefixKey = (u64, OptLevel, ExtensionPoint);
+pub type PrefixKey = (u64, OptLevel, ExtensionPoint);
 /// Key of the `compiled` and `bytecode` levels.
 type LabelKey = (u64, String);
 
@@ -72,6 +83,9 @@ struct Entry<T> {
     /// Filled once by the single builder; waiters block on it.
     slot: Arc<OnceLock<T>>,
     last_used: u64,
+    /// Whether a counted lookup has asked for the entry yet (an entry a
+    /// chaining lookup created has not).
+    requested: bool,
 }
 
 struct Level<K, T> {
@@ -86,21 +100,35 @@ impl<K: Eq + Hash + Clone, T> Level<K, T> {
     }
 
     /// The entry for `key`, created empty on a miss (evicting the least
-    /// recently used entries while over capacity). Counts the lookup.
-    fn slot(&mut self, key: K, tick: u64, metrics: &mut Registry) -> Arc<OnceLock<T>> {
-        let (outcome, slot) = match self.map.get_mut(&key) {
+    /// recently used entries while over capacity). A `counted` lookup is
+    /// counted: a hit if an earlier counted lookup asked for the entry, a
+    /// miss otherwise.
+    fn slot(
+        &mut self,
+        key: K,
+        tick: u64,
+        counted: bool,
+        metrics: &mut Registry,
+    ) -> Arc<OnceLock<T>> {
+        let (requested, slot) = match self.map.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
-                ("hit", Arc::clone(&e.slot))
+                let requested = e.requested;
+                e.requested |= counted;
+                (requested, Arc::clone(&e.slot))
             }
             None => {
                 let slot = Arc::new(OnceLock::new());
-                self.map.insert(key, Entry { slot: Arc::clone(&slot), last_used: tick });
+                let entry = Entry { slot: Arc::clone(&slot), last_used: tick, requested: counted };
+                self.map.insert(key, entry);
                 self.evict(metrics);
-                ("miss", slot)
+                (false, slot)
             }
         };
-        metrics.counter_add("store_lookups", &[("level", self.name), ("outcome", outcome)], 1);
+        if counted {
+            let outcome = if requested { "hit" } else { "miss" };
+            metrics.counter_add("store_lookups", &[("level", self.name), ("outcome", outcome)], 1);
+        }
         slot
     }
 
@@ -183,17 +211,19 @@ impl ArtifactStore {
 
     /// The one build-on-miss routine behind every build level: the entry
     /// is found or created under the lock, then `build` runs outside it at
-    /// most once per entry while concurrent callers of the key wait.
+    /// most once per entry while concurrent callers of the key wait. Only a
+    /// `counted` lookup is counted.
     fn build_on_miss<K: Eq + Hash + Clone, T: Clone>(
         &self,
         level: fn(&mut Levels) -> &mut Level<K, T>,
         key: K,
+        counted: bool,
         build: impl FnOnce() -> T,
     ) -> T {
         let slot = {
             let Inner { tick, levels, metrics } = &mut *self.lock();
             *tick += 1;
-            level(levels).slot(key, *tick, metrics)
+            level(levels).slot(key, *tick, counted, metrics)
         };
         slot.get_or_init(build).clone()
     }
@@ -208,12 +238,24 @@ impl ArtifactStore {
         hash: u64,
         build: impl FnOnce() -> Result<mir::Module, String>,
     ) -> Result<Arc<mir::Module>, String> {
-        self.build_on_miss(|l| &mut l.frontend, hash, || build().map(Arc::new))
+        self.build_on_miss(|l| &mut l.frontend, hash, true, || build().map(Arc::new))
     }
 
     /// Pipeline prefix for `(hash, opt, ep)`, building it on a miss.
     pub fn prefix(&self, key: PrefixKey, build: impl FnOnce() -> mir::Module) -> Arc<mir::Module> {
-        self.build_on_miss(|l| &mut l.prefix, key, || Arc::new(build()))
+        self.build_on_miss(|l| &mut l.prefix, key, true, || Arc::new(build()))
+    }
+
+    /// [`ArtifactStore::prefix`] for a lookup made only to build a later
+    /// prefix from this one. It shares the entry and its single flight but
+    /// is not counted, so chaining leaves the counters as they would be
+    /// without it.
+    pub fn chain_prefix(
+        &self,
+        key: PrefixKey,
+        build: impl FnOnce() -> mir::Module,
+    ) -> Arc<mir::Module> {
+        self.build_on_miss(|l| &mut l.prefix, key, false, || Arc::new(build()))
     }
 
     /// Interprocedural summaries for the `(hash, opt, ep)` prefix
@@ -225,7 +267,7 @@ impl ArtifactStore {
         key: PrefixKey,
         build: impl FnOnce() -> ModuleSummaries,
     ) -> Arc<ModuleSummaries> {
-        self.build_on_miss(|l| &mut l.summaries, key, || Arc::new(build()))
+        self.build_on_miss(|l| &mut l.summaries, key, true, || Arc::new(build()))
     }
 
     /// Instrumented program for `(hash, label)`, building it on a miss.
@@ -234,7 +276,7 @@ impl ArtifactStore {
         key: LabelKey,
         build: impl FnOnce() -> CompiledProgram,
     ) -> Arc<CompiledProgram> {
-        self.build_on_miss(|l| &mut l.compiled, key, || Arc::new(build()))
+        self.build_on_miss(|l| &mut l.compiled, key, true, || Arc::new(build()))
     }
 
     /// Cached bytecode image for `(hash, label)`, if present (hit-counted).
@@ -256,8 +298,11 @@ impl ArtifactStore {
         let Inner { tick, levels, metrics } = &mut *self.lock();
         *tick += 1;
         let level = &mut levels.bytecode;
-        let entry =
-            level.map.entry(key).or_insert(Entry { slot: Arc::default(), last_used: *tick });
+        let entry = level.map.entry(key).or_insert(Entry {
+            slot: Arc::default(),
+            last_used: *tick,
+            requested: true,
+        });
         entry.last_used = *tick;
         let image = Arc::clone(entry.slot.get_or_init(|| Arc::new(image)));
         level.evict(metrics);

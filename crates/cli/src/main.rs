@@ -28,7 +28,10 @@
 //!                               .prom); --flame writes one merged
 //!                               collapsed-stack profile with program;config
 //!                               root frames — both byte-identical across
-//!                               --jobs and --vm
+//!                               --jobs and --vm. --trace writes the pass
+//!                               pipeline's Chrome trace (logical time) and
+//!                               prints each stage/pass's wall-clock total
+//!                               to stderr
 //! mi fuzz  [--seed S] [--cases N] [--jobs N] [--fail-dir DIR]
 //!          [--no-shrink] [--replay IDX]
 //!                               generative differential fuzzing: run N
@@ -505,6 +508,25 @@ fn cmd_profile(path: &str, args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Wall-clock per `<stage>/<pass>` over every recorded span of a traced
+/// sweep, summed from the spans' `wall_nanos`, with the span counts, in the
+/// order the passes first appear. The trace file renders logical time
+/// only; these totals are the wall-clock view of the same spans.
+fn pass_wall_totals(traces: &[(String, TraceRecorder)]) -> Vec<(String, u128, usize)> {
+    let mut totals: Vec<(String, u128, usize)> = Vec::new();
+    for span in traces.iter().flat_map(|(_, rec)| rec.spans()) {
+        let pass = format!("{}/{}", span.stage, span.name);
+        match totals.iter_mut().find(|(p, ..)| *p == pass) {
+            Some((_, nanos, spans)) => {
+                *nanos += span.wall_nanos;
+                *spans += 1;
+            }
+            None => totals.push((pass, span.wall_nanos, 1)),
+        }
+    }
+    totals
+}
+
 /// `mi eval`: the full paper sweep through the parallel cached driver.
 ///
 /// Writes the `evald-report/2` JSON to `--out` (or stdout) and a one-line
@@ -581,6 +603,9 @@ fn cmd_eval(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("[mi eval] pipeline trace ({} tracks) written to {p}", report.traces.len());
+        for (pass, nanos, spans) in pass_wall_totals(&report.traces) {
+            eprintln!("[mi eval] wall {pass}: {:.3} ms over {spans} spans", nanos as f64 / 1e6);
+        }
     }
     let trapped = report.cells.iter().filter(|c| c.outcome.is_err()).count();
     let t = &report.timings;

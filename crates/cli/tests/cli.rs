@@ -272,7 +272,15 @@ fn eval_trace_is_byte_identical_across_job_counts() {
                 .args(["--trace", trace.to_str().unwrap()])
                 .output()
                 .unwrap();
-            assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
+            let stderr = String::from_utf8_lossy(&st.stderr);
+            assert!(st.status.success(), "{stderr}");
+            // The wall-clock view of the same spans goes to stderr, one line
+            // per stage/pass.
+            for pass in ["stage0/mem2reg", "stage1/gvn", "stage3/dce"] {
+                let line = format!("[mi eval] wall {pass}: ");
+                assert_eq!(stderr.matches(&line).count(), 1, "{pass}: {stderr}");
+            }
+            assert!(stderr.contains(" ms over "), "{stderr}");
             std::fs::read_to_string(&trace).unwrap()
         };
         let d1 = trace_at("1");

@@ -39,12 +39,28 @@ use mir::Function;
 use crate::config::{Mechanism, OptConfig};
 use crate::itarget::{CheckPlacement, CheckTarget, Targets};
 
-/// Filters `targets.checks`, removing dominated redundant checks.
-/// Returns the number of checks eliminated.
-pub fn eliminate_dominated_checks(f: &Function, targets: &mut Targets) -> u64 {
-    let cfg = Cfg::compute(f);
-    let dom = DomTree::compute(f, &cfg);
+/// The control-flow analyses the check optimizations share. They are
+/// computed once per instrumented function: dominance elimination reads
+/// them, and the loop optimizer keeps them until it inserts a block.
+pub struct CfgAnalyses {
+    /// Control-flow graph.
+    pub cfg: Cfg,
+    /// Dominator tree over `cfg`.
+    pub dom: DomTree,
+}
 
+impl CfgAnalyses {
+    /// Computes the analyses of `f`.
+    pub fn compute(f: &Function) -> CfgAnalyses {
+        let cfg = Cfg::compute(f);
+        let dom = DomTree::compute(f, &cfg);
+        CfgAnalyses { cfg, dom }
+    }
+}
+
+/// Filters `targets.checks`, removing dominated redundant checks; `dom` is
+/// the dominator tree of `f`. Returns the number of checks eliminated.
+pub fn eliminate_dominated_checks(f: &Function, dom: &DomTree, targets: &mut Targets) -> u64 {
     // Group checks by checked pointer (identical SSA operand).
     let mut groups: HashMap<Operand, Vec<usize>> = HashMap::new();
     for (i, c) in targets.checks.iter().enumerate() {
@@ -64,7 +80,7 @@ pub fn eliminate_dominated_checks(f: &Function, targets: &mut Targets) -> u64 {
                 let (ca, cb): (&CheckTarget, &CheckTarget) =
                     (&targets.checks[a], &targets.checks[b]);
                 if ca.width >= cb.width
-                    && instr_dominates(f, &dom, (ca.block, ca.instr), (cb.block, cb.instr))
+                    && instr_dominates(f, dom, (ca.block, ca.instr), (cb.block, cb.instr))
                 {
                     dead[b] = true;
                 }
@@ -92,11 +108,12 @@ pub struct LoopOptOutcome {
 
 /// Hoists loop-invariant checks and widens monotone induction-variable
 /// checks into loop preheaders (may insert preheader blocks and `gep`s
-/// into `f`). Must run before witness resolution; rewritten targets keep
-/// their original access instruction so check-site provenance still names
-/// the guarded access.
+/// into `f`). `analyses` must describe `f` as passed in. Must run before
+/// witness resolution; rewritten targets keep their original access
+/// instruction so check-site provenance still names the guarded access.
 pub fn optimize_loop_checks(
     f: &mut Function,
+    analyses: CfgAnalyses,
     targets: &mut Targets,
     opt: &OptConfig,
     mechanism: Mechanism,
@@ -105,23 +122,25 @@ pub fn optimize_loop_checks(
     if !opt.loop_hoist && !opt.loop_widen {
         return out;
     }
-    // Loops are optimized one per round: preheader insertion invalidates
-    // the CFG analyses, so they are recomputed between rounds. Headers
-    // identify loops across rounds (block ids are stable: blocks only
-    // ever get appended).
+    // Loops are optimized one per round. The analyses depend only on the
+    // blocks and their terminators, so the preheader `gep`s of widening
+    // leave them valid; only an inserted preheader block invalidates them,
+    // and only then are they recomputed. Headers identify loops across
+    // rounds (block ids are stable: blocks only ever get appended).
+    let CfgAnalyses { mut cfg, mut dom } = analyses;
+    let mut forest = LoopForest::compute(&cfg, &dom);
     let mut handled: BTreeSet<BlockId> = BTreeSet::new();
-    loop {
-        let cfg = Cfg::compute(f);
-        let dom = DomTree::compute(f, &cfg);
-        let forest = LoopForest::compute(&cfg, &dom);
-        let Some(l) = forest.loops.iter().find(|l| !handled.contains(&l.header)) else {
-            break;
-        };
+    while let Some(l) = forest.loops.iter().find(|l| !handled.contains(&l.header)) {
         handled.insert(l.header);
+        let blocks = f.blocks.len();
         let round = optimize_one_loop(f, &cfg, &dom, l, targets, opt, mechanism);
         out.hoisted += round.hoisted;
         out.widened += round.widened;
         out.merged += round.merged;
+        if f.blocks.len() != blocks {
+            CfgAnalyses { cfg, dom } = CfgAnalyses::compute(f);
+            forest = LoopForest::compute(&cfg, &dom);
+        }
     }
     out
 }
@@ -427,7 +446,7 @@ mod tests {
         let f = m.function_by_name("f").unwrap().1;
         let mut t = discover(f);
         assert_eq!(t.checks.len(), 2);
-        let removed = eliminate_dominated_checks(f, &mut t);
+        let removed = eliminate_dominated_checks(f, &CfgAnalyses::compute(f).dom, &mut t);
         assert_eq!(removed, 1);
         assert_eq!(t.checks.len(), 1);
     }
@@ -444,7 +463,7 @@ mod tests {
         let m = mb.finish();
         let f = m.function_by_name("f").unwrap().1;
         let mut t = discover(f);
-        let removed = eliminate_dominated_checks(f, &mut t);
+        let removed = eliminate_dominated_checks(f, &CfgAnalyses::compute(f).dom, &mut t);
         assert_eq!(removed, 0);
     }
 
@@ -460,7 +479,7 @@ mod tests {
         let m = mb.finish();
         let f = m.function_by_name("f").unwrap().1;
         let mut t = discover(f);
-        assert_eq!(eliminate_dominated_checks(f, &mut t), 1);
+        assert_eq!(eliminate_dominated_checks(f, &CfgAnalyses::compute(f).dom, &mut t), 1);
         assert_eq!(t.checks[0].width, 8);
     }
 
@@ -483,7 +502,7 @@ mod tests {
         let m = mb.finish();
         let f = m.function_by_name("f").unwrap().1;
         let mut t = discover(f);
-        assert_eq!(eliminate_dominated_checks(f, &mut t), 1);
+        assert_eq!(eliminate_dominated_checks(f, &CfgAnalyses::compute(f).dom, &mut t), 1);
     }
 
     #[test]
@@ -509,7 +528,7 @@ mod tests {
         let m = mb.finish();
         let f = m.function_by_name("f").unwrap().1;
         let mut t = discover(f);
-        assert_eq!(eliminate_dominated_checks(f, &mut t), 0);
+        assert_eq!(eliminate_dominated_checks(f, &CfgAnalyses::compute(f).dom, &mut t), 0);
     }
 
     #[test]
@@ -526,7 +545,7 @@ mod tests {
         let m = mb.finish();
         let f = m.function_by_name("f").unwrap().1;
         let mut t = discover(f);
-        assert_eq!(eliminate_dominated_checks(f, &mut t), 0);
+        assert_eq!(eliminate_dominated_checks(f, &CfgAnalyses::compute(f).dom, &mut t), 0);
         assert_eq!(t.checks.len(), 2);
     }
 
@@ -559,7 +578,7 @@ mod tests {
         let mut m = mir::parser::parse_module(src).unwrap();
         let f = m.function_by_name_mut("f").unwrap();
         let mut t = discover(f);
-        let out = optimize_loop_checks(f, &mut t, &opt, mech);
+        let out = optimize_loop_checks(f, CfgAnalyses::compute(f), &mut t, &opt, mech);
         verify_module(&m)
             .unwrap_or_else(|e| panic!("verify failed: {e}\n{}", mir::printer::print_module(&m)));
         (t, out)
@@ -789,6 +808,75 @@ mod tests {
         assert!(t.checks[0].is_store);
     }
 
+    #[test]
+    fn hoists_into_an_inserted_and_an_existing_preheader() {
+        // Loop `h1` has two outside predecessors, so hoisting its header
+        // check inserts a preheader block; loop `h2` already has one
+        // (`mid`). The exit edges come first, so `h1` is optimized first
+        // and `h2` after the insertion.
+        let src = r#"
+            define i64 @f(ptr %p, ptr %q, i1 %b) {
+            entry:
+              condbr %b, left, right
+            left:
+              br h1
+            right:
+              br h1
+            h1:
+              %i = phi i64, [left: i64 0], [right: i64 1], [b1: %i2]
+              %v = load i64, %p
+              %c = icmp sge i64, %i, i64 10
+              condbr %c, mid, b1
+            b1:
+              %i2 = add i64, %i, i64 1
+              br h1
+            mid:
+              br h2
+            h2:
+              %j = phi i64, [mid: i64 0], [b2: %j2]
+              %w = load i64, %q
+              %d = icmp sge i64, %j, i64 10
+              condbr %d, exit, b2
+            b2:
+              %j2 = add i64, %j, i64 1
+              br h2
+            exit:
+              ret i64 0
+            }
+        "#;
+        let mut m = mir::parser::parse_module(src).unwrap();
+        let f = m.function_by_name_mut("f").unwrap();
+        let blocks = f.blocks.len();
+        let mut t = discover(f);
+        let analyses = CfgAnalyses::compute(f);
+        let order: Vec<String> = LoopForest::compute(&analyses.cfg, &analyses.dom)
+            .loops
+            .iter()
+            .map(|l| f.blocks[l.header.index()].name.clone())
+            .collect();
+        assert_eq!(order, ["h1", "h2"], "the loop without a preheader goes first");
+        let out =
+            optimize_loop_checks(f, analyses, &mut t, &OptConfig::default(), Mechanism::SoftBound);
+        assert_eq!(f.blocks.len(), blocks + 1, "one preheader block was inserted");
+        let cfg = Cfg::compute(f);
+        let block =
+            |name: &str| BlockId::new(f.blocks.iter().position(|b| b.name == name).unwrap());
+        let preheader_of = |header: &str, latch: &str| {
+            let outside: Vec<BlockId> =
+                cfg.preds(block(header)).iter().copied().filter(|&p| p != block(latch)).collect();
+            assert_eq!(outside.len(), 1, "{header} has a dedicated preheader");
+            outside[0]
+        };
+        let (pre1, pre2) = (preheader_of("h1", "b1"), preheader_of("h2", "b2"));
+        assert_eq!(f.blocks[pre1.index()].name, "h1.preheader");
+        assert_eq!(f.blocks[pre2.index()].name, "mid");
+        verify_module(&m)
+            .unwrap_or_else(|e| panic!("verify failed: {e}\n{}", mir::printer::print_module(&m)));
+        assert_eq!(out, LoopOptOutcome { hoisted: 2, widened: 0, merged: 0 });
+        let placements: Vec<CheckPlacement> = t.checks.iter().map(|c| c.placement).collect();
+        assert_eq!(placements, [CheckPlacement::BlockEnd(pre1), CheckPlacement::BlockEnd(pre2)]);
+    }
+
     // ---------------------------------------------------------------
     // Interprocedural elision
     // ---------------------------------------------------------------
@@ -936,7 +1024,9 @@ mod tests {
         let env = mir::analysis::ipo::FactEnv::collect(&m);
         let f = m.function_by_name_mut("f").unwrap();
         let mut t = discover(f);
-        let out = optimize_loop_checks(f, &mut t, &OptConfig::default(), Mechanism::SoftBound);
+        let analyses = CfgAnalyses::compute(f);
+        let out =
+            optimize_loop_checks(f, analyses, &mut t, &OptConfig::default(), Mechanism::SoftBound);
         assert_eq!(out.widened, 1);
         // The widened preheader check covers bytes 0..80 of the 80-byte
         // summary extent — provable, so the whole loop runs check-free.

@@ -31,7 +31,8 @@ use crate::mechanism::{
     lowfat::LowFatMech, redzone::RedZoneMech, softbound::SoftBoundMech, MechanismLowering, PtrArg,
 };
 use crate::opt::{
-    elide_proven_checks, eliminate_dominated_checks, optimize_loop_checks, ElisionRecord,
+    elide_proven_checks, eliminate_dominated_checks, optimize_loop_checks, CfgAnalyses,
+    ElisionRecord,
 };
 use crate::stats::InstrStats;
 use crate::witness::{resolve_witness, InstrumentCx, ModuleInfo};
@@ -191,17 +192,29 @@ fn instrument_function(
 
     let mut targets: Targets = discover(cx.func);
     cx.stats.checks_discovered += targets.checks.len() as u64;
-    if config.opt.dominance {
-        cx.stats.checks_eliminated += eliminate_dominated_checks(cx.func, &mut targets);
-    }
     // Loop-aware check optimization (§5.3): hoist invariant checks into the
     // preheader and widen monotone induction-variable checks into a single
     // range check. Only meaningful when checks will actually be placed.
-    if config.mode == MiMode::Full && config.opt.any_loop_opts() {
-        let out = optimize_loop_checks(cx.func, &mut targets, &config.opt, config.mechanism);
-        cx.stats.checks_hoisted += out.hoisted;
-        cx.stats.checks_widened += out.widened;
-        cx.stats.checks_eliminated += out.merged;
+    let loop_opts = config.mode == MiMode::Full && config.opt.any_loop_opts();
+    // Both optimizations start from one computation of the CFG analyses.
+    if config.opt.dominance || loop_opts {
+        let analyses = CfgAnalyses::compute(cx.func);
+        if config.opt.dominance {
+            cx.stats.checks_eliminated +=
+                eliminate_dominated_checks(cx.func, &analyses.dom, &mut targets);
+        }
+        if loop_opts {
+            let out = optimize_loop_checks(
+                cx.func,
+                analyses,
+                &mut targets,
+                &config.opt,
+                config.mechanism,
+            );
+            cx.stats.checks_hoisted += out.hoisted;
+            cx.stats.checks_widened += out.widened;
+            cx.stats.checks_eliminated += out.merged;
+        }
     }
     // Interprocedural elision runs after the loop optimizations so the
     // widened preheader range checks are themselves candidates.

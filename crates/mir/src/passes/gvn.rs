@@ -1,13 +1,17 @@
 //! Global value numbering with redundant-load elimination.
 //!
 //! Pure expressions are numbered over the dominator tree (an expression
-//! computed in a dominating block is reused). Loads and `ReadOnly` host
-//! calls are eliminated block-locally with store-to-load forwarding; any
-//! write or effectful call kills availability — including inserted safety
-//! checks, which is precisely why instrumenting early in the pipeline
-//! suppresses this optimization (§5.5 of the paper).
+//! computed in a dominating block is reused), in one scoped table whose
+//! undo log drops a subtree's entries when the walk leaves it. Redundant
+//! values are replaced in a single sweep at the end of the pass, so no
+//! step rescans the function. Loads and `ReadOnly` host calls are
+//! eliminated block-locally with store-to-load forwarding; any write or
+//! effectful call kills availability — including inserted safety checks,
+//! which is precisely why instrumenting early in the pipeline suppresses
+//! this optimization (§5.5 of the paper).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::analysis::{Cfg, DomTree};
 use crate::function::Function;
@@ -20,8 +24,9 @@ use crate::types::Type;
 #[derive(Debug, Default)]
 pub struct Gvn;
 
-/// Hashable canonical form of an operand.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// Hashable canonical form of an operand. The derived order is the total
+/// order that canonicalizes commutative operands.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 enum OpKey {
     Val(ValueId),
     Int(Type, i64),
@@ -32,8 +37,10 @@ enum OpKey {
     Undef,
 }
 
-fn op_key(op: &Operand) -> OpKey {
-    match op {
+/// The canonical form of `op` after the pass's pending replacements
+/// (`subst[v]` replaces value `v`), followed to the end of the chain.
+fn op_key(op: &Operand, subst: &[Option<Operand>]) -> OpKey {
+    match resolve(op, subst) {
         Operand::Val(v) => OpKey::Val(*v),
         Operand::ConstInt { ty, value } => OpKey::Int(ty.clone(), *value),
         Operand::ConstFloat(f) => OpKey::Float(f.to_bits()),
@@ -42,6 +49,14 @@ fn op_key(op: &Operand) -> OpKey {
         Operand::FuncAddr(n) => OpKey::Func(n.clone()),
         Operand::Undef(_) => OpKey::Undef,
     }
+}
+
+/// `op` with the pending replacements applied.
+fn resolve<'a>(mut op: &'a Operand, subst: &'a [Option<Operand>]) -> &'a Operand {
+    while let Some(to) = op.as_value().and_then(|v| subst[v.index()].as_ref()) {
+        op = to;
+    }
+    op
 }
 
 /// Hashable canonical form of a pure expression.
@@ -63,42 +78,98 @@ enum MemKey {
     RoCall(String, Vec<OpKey>),
 }
 
-fn expr_key(effects: &EffectInfo, kind: &InstrKind) -> Option<ExprKey> {
+fn expr_key(effects: &EffectInfo, kind: &InstrKind, subst: &[Option<Operand>]) -> Option<ExprKey> {
+    let key = |op: &Operand| op_key(op, subst);
+    let keys = |ops: &[Operand]| ops.iter().map(key).collect();
     Some(match kind {
         InstrKind::Bin { op, ty, lhs, rhs } => {
             if op.can_trap() {
                 return None;
             }
-            let (mut a, mut b) = (op_key(lhs), op_key(rhs));
-            if op.is_commutative() {
-                // Canonical order for commutative operations.
-                if format!("{a:?}") > format!("{b:?}") {
-                    std::mem::swap(&mut a, &mut b);
-                }
+            let (mut a, mut b) = (key(lhs), key(rhs));
+            if op.is_commutative() && a > b {
+                std::mem::swap(&mut a, &mut b);
             }
             ExprKey::Bin(*op, ty.clone(), a, b)
         }
         InstrKind::Icmp { pred, ty, lhs, rhs } => {
-            ExprKey::Icmp(*pred, ty.clone(), op_key(lhs), op_key(rhs))
+            ExprKey::Icmp(*pred, ty.clone(), key(lhs), key(rhs))
         }
-        InstrKind::Fcmp { pred, lhs, rhs } => ExprKey::Fcmp(*pred, op_key(lhs), op_key(rhs)),
+        InstrKind::Fcmp { pred, lhs, rhs } => ExprKey::Fcmp(*pred, key(lhs), key(rhs)),
         InstrKind::Cast { op, value, from, to } => {
-            ExprKey::Cast(*op, from.clone(), to.clone(), op_key(value))
+            ExprKey::Cast(*op, from.clone(), to.clone(), key(value))
         }
         InstrKind::Gep { elem_ty, base, indices } => {
-            ExprKey::Gep(elem_ty.clone(), op_key(base), indices.iter().map(op_key).collect())
+            ExprKey::Gep(elem_ty.clone(), key(base), keys(indices))
         }
         InstrKind::Select { ty, cond, then_value, else_value } => {
-            ExprKey::Select(ty.clone(), op_key(cond), op_key(then_value), op_key(else_value))
+            ExprKey::Select(ty.clone(), key(cond), key(then_value), key(else_value))
         }
         InstrKind::Call { callee, args, ret } => {
             if *ret == Type::Void || effects.callee(callee) != crate::module::Effect::Pure {
                 return None;
             }
-            ExprKey::PureCall(callee.clone(), args.iter().map(op_key).collect())
+            ExprKey::PureCall(callee.clone(), keys(args))
         }
         _ => return None,
     })
+}
+
+fn mem_key(effects: &EffectInfo, kind: &InstrKind, subst: &[Option<Operand>]) -> Option<MemKey> {
+    match kind {
+        InstrKind::Load { ty, ptr } => Some(MemKey::Load(ty.clone(), op_key(ptr, subst))),
+        InstrKind::Call { callee, args, ret }
+            if *ret != Type::Void && effects.callee(callee) == crate::module::Effect::ReadOnly =>
+        {
+            Some(MemKey::RoCall(callee.clone(), args.iter().map(|a| op_key(a, subst)).collect()))
+        }
+        _ => None,
+    }
+}
+
+/// Multiplicative hasher for the pass's tables (the FxHash step). The keys
+/// are small enums of ids and constants from the function being compiled,
+/// not from an adversary, and SipHash took about a third of the walk.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b.into());
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        // Mix the high bits down: the table buckets on the low bits.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// An availability table: canonical key → the value that computed it.
+type Table<K> = HashMap<K, Operand, BuildHasherDefault<KeyHasher>>;
+
+/// A step of the dominator-tree walk.
+enum Visit {
+    /// Number the block, then its dominator-tree children.
+    Enter(BlockId),
+    /// The block's subtree is done: drop the table entries logged after
+    /// this undo-log length.
+    Leave(usize),
 }
 
 impl FunctionPass for Gvn {
@@ -109,78 +180,98 @@ impl FunctionPass for Gvn {
     fn run(&self, effects: &EffectInfo, f: &mut Function) -> bool {
         let cfg = Cfg::compute(f);
         let dom = DomTree::compute(f, &cfg);
+
+        // Redundant values are replaced in one sweep at the end: `subst[v]`
+        // holds the replacement of value `v`, and keys read operands
+        // through it, so they see what immediate replacement would show.
+        let mut subst: Vec<Option<Operand>> = vec![None; f.values.len()];
+        let mut dead = vec![false; f.instrs.len()];
         let mut changed = false;
 
-        // Scoped table over the dominator tree for pure expressions.
-        // We use an explicit DFS carrying a cloned map per child (functions
-        // are small; clarity over constant-factor speed).
-        let mut stack: Vec<(BlockId, HashMap<ExprKey, Operand>)> =
-            vec![(BlockId::new(0), HashMap::new())];
-        while let Some((bid, mut avail)) = stack.pop() {
-            // Block-local memory availability: cleared at block entry.
-            let mut mem_avail: HashMap<MemKey, Operand> = HashMap::new();
-            let ids = f.blocks[bid.index()].instrs.clone();
-            for iid in ids {
-                let kind = f.instrs[iid.index()].kind.clone();
+        // One scoped table for pure expressions over the dominator tree:
+        // each insertion is logged, and leaving a block's subtree removes
+        // the entries its blocks added.
+        let mut avail: Table<ExprKey> = Table::default();
+        let mut undo: Vec<ExprKey> = Vec::new();
+        // Block-local memory availability: cleared at block entry.
+        let mut mem_avail: Table<MemKey> = Table::default();
+        let mut stack = vec![Visit::Enter(BlockId::new(0))];
+        while let Some(visit) = stack.pop() {
+            let bid = match visit {
+                Visit::Enter(bid) => bid,
+                Visit::Leave(mark) => {
+                    for key in undo.drain(mark..) {
+                        avail.remove(&key);
+                    }
+                    continue;
+                }
+            };
+            stack.push(Visit::Leave(undo.len()));
+            mem_avail.clear();
+            for &iid in &f.blocks[bid.index()].instrs {
+                let instr = &f.instrs[iid.index()];
+                let kind = &instr.kind;
 
                 // Kill memory availability on writes/aborts.
-                if effects.writes_or_aborts(&kind) {
+                if effects.writes_or_aborts(kind) {
                     mem_avail.clear();
                 }
                 // Store-to-load forwarding: remember the stored value.
-                if let InstrKind::Store { ty, value, ptr } = &kind {
-                    mem_avail.insert(MemKey::Load(ty.clone(), op_key(ptr)), value.clone());
+                if let InstrKind::Store { ty, value, ptr } = kind {
+                    let key = MemKey::Load(ty.clone(), op_key(ptr, &subst));
+                    mem_avail.insert(key, resolve(value, &subst).clone());
                     continue;
                 }
 
-                // Pure expression numbering.
-                if let Some(key) = expr_key(effects, &kind) {
-                    let result = match f.instrs[iid.index()].result {
-                        Some(r) => r,
-                        None => continue,
-                    };
-                    if let Some(prev) = avail.get(&key) {
-                        let prev = prev.clone();
-                        f.replace_all_uses(result, &prev);
-                        f.remove_instr(bid, iid);
-                        changed = true;
-                    } else {
-                        avail.insert(key, Operand::Val(result));
-                    }
-                    continue;
-                }
-
-                // Memory-dependent numbering (block local).
-                let mem_key = match &kind {
-                    InstrKind::Load { ty, ptr } => Some(MemKey::Load(ty.clone(), op_key(ptr))),
-                    InstrKind::Call { callee, args, ret } => {
-                        if *ret != Type::Void
-                            && effects.callee(callee) == crate::module::Effect::ReadOnly
-                        {
-                            Some(MemKey::RoCall(callee.clone(), args.iter().map(op_key).collect()))
-                        } else {
-                            None
+                // Pure expression numbering, then memory-dependent
+                // numbering (block local).
+                let Some(result) = instr.result else { continue };
+                let prev = if let Some(key) = expr_key(effects, kind, &subst) {
+                    match avail.entry(key) {
+                        Entry::Occupied(prev) => prev.get().clone(),
+                        Entry::Vacant(slot) => {
+                            undo.push(slot.key().clone());
+                            slot.insert(Operand::Val(result));
+                            continue;
                         }
                     }
-                    _ => None,
-                };
-                if let Some(mk) = mem_key {
-                    let result = match f.instrs[iid.index()].result {
-                        Some(r) => r,
-                        None => continue,
-                    };
-                    if let Some(prev) = mem_avail.get(&mk) {
-                        let prev = prev.clone();
-                        f.replace_all_uses(result, &prev);
-                        f.remove_instr(bid, iid);
-                        changed = true;
-                    } else {
-                        mem_avail.insert(mk, Operand::Val(result));
+                } else if let Some(key) = mem_key(effects, kind, &subst) {
+                    match mem_avail.entry(key) {
+                        Entry::Occupied(prev) => prev.get().clone(),
+                        Entry::Vacant(slot) => {
+                            slot.insert(Operand::Val(result));
+                            continue;
+                        }
                     }
-                }
+                } else {
+                    continue;
+                };
+                subst[result.index()] = Some(prev);
+                dead[iid.index()] = true;
+                changed = true;
             }
             for &child in dom.children(bid) {
-                stack.push((child, avail.clone()));
+                stack.push(Visit::Enter(child));
+            }
+        }
+
+        if changed {
+            for block in &mut f.blocks {
+                block.instrs.retain(|i| !dead[i.index()]);
+            }
+            for (instr, _) in f.instrs.iter_mut().zip(&dead).filter(|(_, d)| **d) {
+                instr.kind = InstrKind::Nop;
+            }
+            let substitute = |op: &mut Operand| {
+                if op.as_value().is_some_and(|v| subst[v.index()].is_some()) {
+                    *op = resolve(op, &subst).clone();
+                }
+            };
+            for instr in &mut f.instrs {
+                instr.kind.for_each_operand_mut(substitute);
+            }
+            for block in &mut f.blocks {
+                block.term.for_each_operand_mut(substitute);
             }
         }
         changed

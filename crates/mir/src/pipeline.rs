@@ -16,9 +16,10 @@
 //! `report --section fig12` / `--section fig13` in the `bench` crate
 //! reproduce that with this pipeline.
 //!
-//! Tracing is an argument, not a second API: [`Pipeline::run_to`] and
-//! [`Pipeline::resume_at`] take an `Option<&mut TraceRecorder>` and record
-//! one span per executed pass when it is `Some`.
+//! Tracing is an argument, not a second API: [`Pipeline::run_to`],
+//! [`Pipeline::run_between`] and [`Pipeline::resume_at`] take an
+//! `Option<&mut TraceRecorder>` and record one span per executed pass when
+//! it is `Some`.
 
 use crate::module::Module;
 use crate::passes::{
@@ -46,6 +47,11 @@ impl ExtensionPoint {
         ExtensionPoint::ScalarOptimizerLate,
         ExtensionPoint::VectorizerStart,
     ];
+
+    /// The extension point before this one in pipeline order, if any.
+    pub fn previous(self) -> Option<ExtensionPoint> {
+        ep_index(self).checked_sub(1).map(|i| ExtensionPoint::ALL[i])
+    }
 
     /// Short name used in reports.
     pub fn name(self) -> &'static str {
@@ -156,12 +162,33 @@ impl Pipeline {
     /// artifact store in the `bench` crate relies on this to compile the
     /// shared pipeline prefix once per (program, opt level, extension
     /// point) instead of once per sweep cell.
-    pub fn run_to(&self, m: &mut Module, ep: ExtensionPoint, mut rec: Option<&mut TraceRecorder>) {
+    pub fn run_to(&self, m: &mut Module, ep: ExtensionPoint, rec: Option<&mut TraceRecorder>) {
+        self.run_between(m, None, ep, rec);
+    }
+
+    /// Advances a snapshot taken at extension point `from` to extension
+    /// point `to`: runs the stages after `from` up to and including the one
+    /// that ends at `to`. With `from = None` it starts at the beginning of
+    /// the pipeline, which is [`Pipeline::run_to`].
+    ///
+    /// `run_to(m, from, _)` followed by `run_between(m, Some(from), to, _)`
+    /// leaves `m` exactly as `run_to(m, to, _)` does, so the artifact store
+    /// can build a later prefix from an earlier one. With a recorder, every
+    /// executed pass leaves a span in it.
+    pub fn run_between(
+        &self,
+        m: &mut Module,
+        from: Option<ExtensionPoint>,
+        to: ExtensionPoint,
+        mut rec: Option<&mut TraceRecorder>,
+    ) {
+        let first = from.map_or(0, |ep| ep_index(ep) + 1);
+        debug_assert!(first <= ep_index(to) + 1, "{from:?} comes after {to}");
         if self.opt == OptLevel::O0 {
             // No optimization: there is nothing before any extension point.
             return;
         }
-        for stage in 0..=ep_index(ep) {
+        for stage in first..=ep_index(to) {
             self.run_stage(m, stage, rec.as_deref_mut());
         }
     }
@@ -452,6 +479,15 @@ mod tests {
     fn extension_point_names() {
         assert_eq!(ExtensionPoint::ALL.len(), 3);
         assert_eq!(ExtensionPoint::VectorizerStart.name(), "VectorizerStart");
+        let previous: Vec<_> = ExtensionPoint::ALL.iter().map(|ep| ep.previous()).collect();
+        assert_eq!(
+            previous,
+            [
+                None,
+                Some(ExtensionPoint::ModuleOptimizerEarly),
+                Some(ExtensionPoint::ScalarOptimizerLate)
+            ]
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// An IR type.
 ///
 /// Aggregates are structural; two `struct { i32, i32 }` types compare equal.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Type {
     /// The type of instructions that produce no value (function return only).
     Void,

@@ -467,6 +467,38 @@ fn pipeline_is_deterministic_across_threads() {
     }
 }
 
+/// A prefix snapshot can be advanced to a later extension point: for every
+/// corpus program and every `ep1 < ep2`, `run_to(ep1)` followed by
+/// `run_between(ep1, ep2)` prints the same IR as `run_to(ep2)`. The
+/// artifact store builds each later O3 prefix from the earlier one on this
+/// guarantee.
+#[test]
+fn chained_prefixes_equal_direct_prefixes() {
+    let pipeline = Pipeline::new(OptLevel::O3);
+    for (name, src) in common::corpus() {
+        let module = cfront::compile_named(&src, &name).unwrap();
+        let prefixes: Vec<mir::Module> = ExtensionPoint::ALL
+            .iter()
+            .map(|&ep| {
+                let mut m = module.clone();
+                pipeline.run_to(&mut m, ep, None);
+                m
+            })
+            .collect();
+        for (i, ep1) in ExtensionPoint::ALL.into_iter().enumerate() {
+            for (j, ep2) in ExtensionPoint::ALL.into_iter().enumerate().skip(i + 1) {
+                let mut chained = prefixes[i].clone();
+                pipeline.run_between(&mut chained, Some(ep1), ep2, None);
+                assert_eq!(
+                    mir::printer::print_module(&chained),
+                    mir::printer::print_module(&prefixes[j]),
+                    "{name}: {ep1} → {ep2}"
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Robustness: parsers never panic on garbage
 // ---------------------------------------------------------------------------
