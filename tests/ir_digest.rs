@@ -23,7 +23,7 @@ use memvm::VmConfig;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/ir-digest.txt");
 
-/// Generated fuzz cases (seed 0) pinned under the oracle matrix.
+/// Generated fuzz cases pinned under the oracle matrix, per seed (0 and 7).
 const FUZZ_CASES: u64 = 40;
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -115,19 +115,29 @@ fn benchmark_ir_matches_digest() {
     assert_part("cbench", &lines);
 }
 
-#[test]
-fn fuzz_ir_matches_digest() {
+/// The digest lines of the first `FUZZ_CASES` cases of fuzz seed `seed`.
+fn fuzz_lines(seed: u64) -> Vec<String> {
     let configs = fuzz::oracle::matrix_configs();
     let mut lines = Vec::new();
     for case in 0..FUZZ_CASES {
         // Named and titled exactly as the oracle compiles them.
-        let (safe, mutant) = fuzz::case_programs(0, case);
-        let title = format!("fuzz seed=0 case={case}");
+        let (safe, mutant) = fuzz::case_programs(seed, case);
+        let title = format!("fuzz seed={seed} case={case}");
         for (half, prog) in [("safe", &safe), ("mutant", &mutant)] {
             let program =
                 Program { name: half.into(), source: prog.emit_c(&format!("{title} ({half})")) };
-            lines.extend(digest_program(&format!("fuzz0/{case}/{half}"), &program, &configs));
+            lines.extend(digest_program(&format!("fuzz{seed}/{case}/{half}"), &program, &configs));
         }
     }
-    assert_part("fuzz0", &lines);
+    lines
+}
+
+#[test]
+fn fuzz_ir_matches_digest() {
+    assert_part("fuzz0", &fuzz_lines(0));
+}
+
+#[test]
+fn fuzz_seed7_ir_matches_digest() {
+    assert_part("fuzz7", &fuzz_lines(7));
 }
