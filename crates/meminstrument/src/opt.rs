@@ -27,8 +27,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use mir::analysis::{
-    dom::instr_dominates, ensure_dedicated_preheader, operand_is_invariant, Cfg, CountedLoop,
-    DomTree, Loop, LoopForest,
+    ensure_dedicated_preheader, operand_is_invariant, Cfg, CountedLoop, DomTree, Loop, LoopForest,
 };
 use mir::function::ValueDef;
 use mir::ids::BlockId;
@@ -67,6 +66,30 @@ pub fn eliminate_dominated_checks(f: &Function, dom: &DomTree, targets: &mut Tar
         groups.entry(c.ptr.clone()).or_default().push(i);
     }
 
+    // The block and position of each linked access, found in one scan of
+    // every block that holds a check.
+    let mut at = vec![None; f.instrs.len()];
+    let mut scanned = vec![false; f.blocks.len()];
+    for c in &targets.checks {
+        if !std::mem::replace(&mut scanned[c.block.index()], true) {
+            for (p, &iid) in f.blocks[c.block.index()].instrs.iter().enumerate() {
+                at[iid.index()] = Some((c.block, p));
+            }
+        }
+    }
+    // Instruction dominance: `a`'s block strictly dominates `b`'s, or both
+    // are in one block and `a` comes first.
+    let dominates = |a: &CheckTarget, b: &CheckTarget| {
+        if a.block != b.block {
+            return dom.strictly_dominates(a.block, b.block);
+        }
+        match (at[a.instr.index()], at[b.instr.index()]) {
+            _ if a.instr == b.instr => true,
+            (Some((ba, pa)), Some((bb, pb))) => ba == a.block && bb == a.block && pa < pb,
+            _ => false,
+        }
+    };
+
     let mut dead = vec![false; targets.checks.len()];
     for idxs in groups.values() {
         for &a in idxs {
@@ -77,11 +100,8 @@ pub fn eliminate_dominated_checks(f: &Function, dom: &DomTree, targets: &mut Tar
                 if a == b || dead[b] {
                     continue;
                 }
-                let (ca, cb): (&CheckTarget, &CheckTarget) =
-                    (&targets.checks[a], &targets.checks[b]);
-                if ca.width >= cb.width
-                    && instr_dominates(f, dom, (ca.block, ca.instr), (cb.block, cb.instr))
-                {
+                let (ca, cb) = (&targets.checks[a], &targets.checks[b]);
+                if ca.width >= cb.width && dominates(ca, cb) {
                     dead[b] = true;
                 }
             }

@@ -8,7 +8,7 @@
 
 use crate::analysis::cfg::Cfg;
 use crate::function::Function;
-use crate::ids::{BlockId, InstrId};
+use crate::ids::BlockId;
 
 /// Dominator tree over the reachable blocks of a function.
 #[derive(Clone, Debug)]
@@ -17,8 +17,6 @@ pub struct DomTree {
     idom: Vec<Option<BlockId>>,
     /// Children in the dominator tree.
     children: Vec<Vec<BlockId>>,
-    /// Dominance frontier per block.
-    frontier: Vec<Vec<BlockId>>,
     /// RPO index per block, used for O(depth) dominance queries.
     rpo_index: Vec<Option<u32>>,
 }
@@ -29,7 +27,7 @@ impl DomTree {
         let n = f.blocks.len();
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         if n == 0 {
-            return DomTree { idom, children: vec![], frontier: vec![], rpo_index: vec![] };
+            return DomTree { idom, children: vec![], rpo_index: vec![] };
         }
         let entry = BlockId::new(0);
         idom[entry.index()] = Some(entry);
@@ -67,14 +65,32 @@ impl DomTree {
             }
         }
 
-        // Dominance frontiers (Cytron et al.).
+        let rpo_index = (0..n).map(|b| cfg.rpo_index(BlockId::new(b))).collect();
+        DomTree { idom, children, rpo_index }
+    }
+
+    /// Immediate dominator of `b` (`None` for the entry block).
+    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
+        self.idom[b.index()]
+    }
+
+    /// Children of `b` in the dominator tree.
+    pub fn children(&self, b: BlockId) -> &[BlockId] {
+        &self.children[b.index()]
+    }
+
+    /// The dominance frontier of every block (Cytron et al.), indexed by
+    /// block. Only phi placement needs frontiers, so they are computed on
+    /// demand rather than with the tree.
+    pub fn frontiers(&self, cfg: &Cfg) -> Vec<Vec<BlockId>> {
+        let n = self.idom.len();
         let mut frontier = vec![Vec::new(); n];
         for b in 0..n {
             let bid = BlockId::new(b);
             if !cfg.is_reachable(bid) || cfg.preds(bid).len() < 2 {
                 continue;
             }
-            let b_idom = idom[b];
+            let b_idom = self.idom[b];
             for &p in cfg.preds(bid) {
                 if !cfg.is_reachable(p) {
                     continue;
@@ -90,28 +106,11 @@ impl DomTree {
                     if r == BlockId::new(0) {
                         break;
                     }
-                    runner = idom[r.index()];
+                    runner = self.idom[r.index()];
                 }
             }
         }
-
-        let rpo_index = (0..n).map(|b| cfg.rpo_index(BlockId::new(b))).collect();
-        DomTree { idom, children, frontier, rpo_index }
-    }
-
-    /// Immediate dominator of `b` (`None` for the entry block).
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()]
-    }
-
-    /// Children of `b` in the dominator tree.
-    pub fn children(&self, b: BlockId) -> &[BlockId] {
-        &self.children[b.index()]
-    }
-
-    /// Dominance frontier of `b`.
-    pub fn frontier(&self, b: BlockId) -> &[BlockId] {
-        &self.frontier[b.index()]
+        frontier
     }
 
     /// Whether `a` dominates `b` (reflexive: every block dominates itself).
@@ -169,30 +168,6 @@ fn intersect(idom: &[Option<BlockId>], cfg: &Cfg, mut a: BlockId, mut b: BlockId
         }
     }
     a
-}
-
-/// Dominance between instructions: `a` dominates `b` if its block strictly
-/// dominates `b`'s block, or both are in the same block and `a` comes first.
-pub fn instr_dominates(
-    f: &Function,
-    dom: &DomTree,
-    (block_a, instr_a): (BlockId, InstrId),
-    (block_b, instr_b): (BlockId, InstrId),
-) -> bool {
-    if block_a == block_b {
-        if instr_a == instr_b {
-            return true;
-        }
-        let block = &f.blocks[block_a.index()];
-        let pa = block.instrs.iter().position(|&i| i == instr_a);
-        let pb = block.instrs.iter().position(|&i| i == instr_b);
-        match (pa, pb) {
-            (Some(pa), Some(pb)) => pa < pb,
-            _ => false,
-        }
-    } else {
-        dom.strictly_dominates(block_a, block_b)
-    }
 }
 
 #[cfg(test)]
@@ -313,10 +288,11 @@ mod tests {
         let m = mb.finish();
         let (_, f) = m.function_by_name("f").unwrap();
         let cfg = Cfg::compute(f);
-        let dom = DomTree::compute(f, &cfg);
-        assert_eq!(dom.frontier(BlockId::new(1)), &[BlockId::new(3)]);
-        assert_eq!(dom.frontier(BlockId::new(2)), &[BlockId::new(3)]);
-        assert_eq!(dom.frontier(BlockId::new(0)), &[] as &[BlockId]);
+        let frontiers = DomTree::compute(f, &cfg).frontiers(&cfg);
+        assert_eq!(frontiers[1], [BlockId::new(3)]);
+        assert_eq!(frontiers[2], [BlockId::new(3)]);
+        assert_eq!(frontiers[0], [] as [BlockId; 0]);
+        assert_eq!(frontiers[3], [] as [BlockId; 0]);
     }
 
     #[test]

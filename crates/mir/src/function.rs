@@ -182,57 +182,36 @@ impl Function {
         id
     }
 
-    /// Unlinks instruction `id` from `block` and tombstones it.
-    ///
-    /// The caller must guarantee the instruction's result (if any) has no
-    /// remaining uses.
-    pub fn remove_instr(&mut self, block: BlockId, id: InstrId) {
-        self.blocks[block.index()].instrs.retain(|&i| i != id);
-        self.instrs[id.index()].kind = InstrKind::Nop;
-    }
-
     /// The result value of instruction `id`, if it defines one.
     pub fn instr_result(&self, id: InstrId) -> Option<ValueId> {
         self.instrs[id.index()].result
     }
 
-    /// Replaces every use of value `from` (in instructions and terminators)
-    /// with operand `to`.
-    pub fn replace_all_uses(&mut self, from: ValueId, to: &Operand) {
-        for instr in &mut self.instrs {
-            instr.kind.for_each_operand_mut(|op| {
-                if op.as_value() == Some(from) {
-                    *op = to.clone();
-                }
-            });
+    /// Applies the pending edits of `rw` in one sweep: every removed
+    /// instruction is unlinked (one `retain` per block) and tombstoned, and
+    /// every operand of the linked instructions and terminators is read
+    /// through the replacement table.
+    pub fn apply(&mut self, rw: &Rewrite) {
+        if rw.is_empty() {
+            return;
         }
-        for block in &mut self.blocks {
-            block.term.for_each_operand_mut(|op| {
-                if op.as_value() == Some(from) {
-                    *op = to.clone();
-                }
-            });
-        }
-    }
-
-    /// Counts the uses of a value across the whole function.
-    pub fn count_uses(&self, v: ValueId) -> usize {
-        let mut n = 0;
-        for block in &self.blocks {
-            for &iid in &block.instrs {
-                self.instrs[iid.index()].kind.for_each_operand(|op| {
-                    if op.as_value() == Some(v) {
-                        n += 1;
-                    }
-                });
+        let substitute = |op: &mut Operand| {
+            if op.as_value().is_some_and(|v| rw.is_replaced(v)) {
+                *op = rw.resolve(op).clone();
             }
-            block.term.for_each_operand(|op| {
-                if op.as_value() == Some(v) {
-                    n += 1;
-                }
-            });
+        };
+        for block in &mut self.blocks {
+            if !rw.removed.is_empty() {
+                block.instrs.retain(|&i| !rw.is_removed(i));
+            }
+            for &iid in &block.instrs {
+                self.instrs[iid.index()].kind.for_each_operand_mut(substitute);
+            }
+            block.term.for_each_operand_mut(substitute);
         }
-        n
+        for (instr, _) in self.instrs.iter_mut().zip(&rw.removed).filter(|(_, r)| **r) {
+            instr.kind = InstrKind::Nop;
+        }
     }
 
     /// Iterates over `(BlockId, &Block)` pairs.
@@ -253,6 +232,73 @@ impl Function {
             }
         }
         None
+    }
+}
+
+/// The pending edits of one pass over a [`Function`]: value replacements
+/// and instruction removals, applied together by [`Function::apply`].
+///
+/// `subst[v]` replaces value `v`; a replacement may itself be replaced, and
+/// [`Rewrite::resolve`] follows the chain to its end. A pass reads operands
+/// through `resolve`, so it sees what immediate replacement would show,
+/// while the function itself is swept once, however many values the pass
+/// replaced or instructions it removed.
+#[derive(Clone, Debug, Default)]
+pub struct Rewrite {
+    subst: Vec<Option<Operand>>,
+    removed: Vec<bool>,
+}
+
+impl Rewrite {
+    /// An empty rewrite.
+    pub fn new() -> Rewrite {
+        Rewrite::default()
+    }
+
+    /// Replaces every use of `v` with `to`. Replacing a value with itself
+    /// (after resolution) is a no-op, so chains never form a cycle.
+    pub fn replace(&mut self, v: ValueId, to: Operand) {
+        if self.resolve(&to).as_value() == Some(v) {
+            return;
+        }
+        if self.subst.len() <= v.index() {
+            self.subst.resize(v.index() + 1, None);
+        }
+        self.subst[v.index()] = Some(to);
+    }
+
+    /// Whether `v` has a pending replacement.
+    pub fn is_replaced(&self, v: ValueId) -> bool {
+        self.subst.get(v.index()).is_some_and(Option::is_some)
+    }
+
+    /// `op` with the pending replacements applied, followed to the end of
+    /// the chain.
+    pub fn resolve<'a>(&'a self, mut op: &'a Operand) -> &'a Operand {
+        while let Some(to) = op.as_value().and_then(|v| self.subst.get(v.index())?.as_ref()) {
+            op = to;
+        }
+        op
+    }
+
+    /// Unlinks instruction `id` from its block and tombstones it. The
+    /// caller guarantees its result (if any) is replaced or has no uses
+    /// left once the rewrite is applied.
+    pub fn remove(&mut self, id: InstrId) {
+        if self.removed.len() <= id.index() {
+            self.removed.resize(id.index() + 1, false);
+        }
+        self.removed[id.index()] = true;
+    }
+
+    /// Whether instruction `id` is pending removal.
+    pub fn is_removed(&self, id: InstrId) -> bool {
+        self.removed.get(id.index()).copied().unwrap_or(false)
+    }
+
+    /// Whether the rewrite has no edits.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.subst.is_empty()
     }
 }
 
@@ -294,28 +340,75 @@ mod tests {
     }
 
     #[test]
-    fn replace_all_uses_rewrites_terminators() {
+    fn apply_resolves_chains_and_rewrites_phis_and_terminators() {
         let mut f = sample();
-        let add_result = f.instr_result(InstrId::new(0)).unwrap();
-        f.replace_all_uses(add_result, &Operand::i64(99));
-        assert_eq!(f.blocks[0].term, Terminator::Ret(Some(Operand::i64(99))));
+        let entry = BlockId::new(0);
+        let x = f.param_value(0);
+        let add = f.instr_result(InstrId::new(0)).unwrap();
+        let mul = f.push_instr(
+            entry,
+            InstrKind::Bin {
+                op: crate::instr::BinOp::Mul,
+                ty: Type::I64,
+                lhs: Operand::Val(add),
+                rhs: Operand::i64(2),
+            },
+        );
+        let mul_v = f.instr_result(mul).unwrap();
+        let next = f.add_block("next");
+        f.blocks[0].term = Terminator::Br(next);
+        let phi = f.push_instr(
+            next,
+            InstrKind::Phi { ty: Type::I64, incoming: vec![(entry, Operand::Val(mul_v))] },
+        );
+        f.blocks[1].term = Terminator::Ret(Some(Operand::Val(mul_v)));
+
+        // mul -> add -> x: a chain recorded in reverse order of resolution.
+        let mut rw = Rewrite::new();
+        rw.replace(mul_v, Operand::Val(add));
+        rw.replace(add, Operand::Val(x));
+        assert_eq!(rw.resolve(&Operand::Val(mul_v)), &Operand::Val(x));
+        // A replacement that resolves to the value itself is dropped.
+        rw.replace(x, Operand::Val(mul_v));
+        assert!(!rw.is_replaced(x));
+        f.apply(&rw);
+
+        assert_eq!(
+            f.instrs[mul.index()].kind,
+            InstrKind::Bin {
+                op: crate::instr::BinOp::Mul,
+                ty: Type::I64,
+                lhs: Operand::Val(x),
+                rhs: Operand::i64(2),
+            }
+        );
+        assert_eq!(
+            f.instrs[phi.index()].kind,
+            InstrKind::Phi { ty: Type::I64, incoming: vec![(entry, Operand::Val(x))] }
+        );
+        assert_eq!(f.blocks[1].term, Terminator::Ret(Some(Operand::Val(x))));
     }
 
     #[test]
-    fn count_uses_counts_instrs_and_terms() {
-        let f = sample();
-        assert_eq!(f.count_uses(ValueId::new(0)), 1); // x used by add
-        let add_result = f.instr_result(InstrId::new(0)).unwrap();
-        assert_eq!(f.count_uses(add_result), 1); // used by ret
-    }
-
-    #[test]
-    fn remove_instr_tombstones() {
+    fn apply_unlinks_and_tombstones_removed_instrs() {
         let mut f = sample();
         f.blocks[0].term = Terminator::Ret(Some(Operand::i64(0)));
-        f.remove_instr(BlockId::new(0), InstrId::new(0));
+        let mut rw = Rewrite::new();
+        rw.remove(InstrId::new(0));
+        assert!(rw.is_removed(InstrId::new(0)));
+        f.apply(&rw);
         assert_eq!(f.live_instr_count(), 0);
         assert_eq!(f.instrs[0].kind, InstrKind::Nop);
+    }
+
+    #[test]
+    fn empty_rewrite_changes_nothing() {
+        let mut f = sample();
+        let before = f.clone();
+        let rw = Rewrite::new();
+        assert!(rw.is_empty());
+        f.apply(&rw);
+        assert_eq!(f, before);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod trace;
 pub mod types;
 pub mod verifier;
 
-pub use function::{Block, Function, Param, ValueDef, ValueInfo};
+pub use function::{Block, Function, Param, Rewrite, ValueDef, ValueInfo};
 pub use ids::{BlockId, FuncId, GlobalId, InstrId, ValueId};
 pub use instr::{BinOp, CastOp, FcmpPred, IcmpPred, Instr, InstrKind, Operand, Terminator};
 pub use module::{Effect, Global, GlobalAttrs, HostDecl, Init, Module};

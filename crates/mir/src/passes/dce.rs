@@ -6,10 +6,9 @@
 //! metadata loads vanish when the checks that would consume them are not
 //! generated.
 
-use std::collections::BTreeMap;
-
-use crate::function::Function;
-use crate::ids::ValueId;
+use crate::function::{Function, Rewrite, ValueDef};
+use crate::ids::InstrId;
+use crate::instr::Operand;
 use crate::passes::{EffectInfo, FunctionPass};
 
 /// The dead code elimination pass.
@@ -21,46 +20,57 @@ impl FunctionPass for Dce {
         "dce"
     }
 
+    /// Counts the uses of every value once, then removes dead instructions
+    /// from a worklist: removing one releases its operands, and an operand
+    /// whose count drops to zero is dead in turn. Values used only by a
+    /// cycle of dead instructions (a dead phi cycle) keep their uses.
     fn run(&self, effects: &EffectInfo, f: &mut Function) -> bool {
-        let mut changed_any = false;
-        loop {
-            // Count uses of every value.
-            let mut uses: BTreeMap<ValueId, usize> = BTreeMap::new();
-            for block in &f.blocks {
-                for &iid in &block.instrs {
-                    f.instrs[iid.index()].kind.for_each_operand(|op| {
-                        if let Some(v) = op.as_value() {
-                            *uses.entry(v).or_insert(0) += 1;
-                        }
-                    });
-                }
-                block.term.for_each_operand(|op| {
-                    if let Some(v) = op.as_value() {
-                        *uses.entry(v).or_insert(0) += 1;
-                    }
-                });
+        let mut uses = vec![0u32; f.values.len()];
+        let mut linked = vec![false; f.instrs.len()];
+        let mut count = |op: &Operand| {
+            if let Some(v) = op.as_value() {
+                uses[v.index()] += 1;
             }
-            let mut changed = false;
-            for bi in 0..f.blocks.len() {
-                let ids = f.blocks[bi].instrs.clone();
-                for iid in ids {
-                    let instr = &f.instrs[iid.index()];
-                    let dead = match instr.result {
-                        Some(v) => uses.get(&v).copied().unwrap_or(0) == 0,
-                        None => false,
-                    };
-                    if dead && effects.is_removable_if_unused(&instr.kind) {
-                        f.remove_instr(crate::ids::BlockId::new(bi), iid);
-                        changed = true;
-                    }
-                }
+        };
+        for block in &f.blocks {
+            for &iid in &block.instrs {
+                linked[iid.index()] = true;
+                f.instrs[iid.index()].kind.for_each_operand(&mut count);
             }
-            if !changed {
-                break;
-            }
-            changed_any = true;
+            block.term.for_each_operand(&mut count);
         }
-        changed_any
+
+        // Instructions whose result has no use (left), removed if they may
+        // be. A count reaches zero once, so nothing is queued twice.
+        let mut work: Vec<InstrId> = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.instrs)
+            .copied()
+            .filter(|&iid| f.instrs[iid.index()].result.is_some_and(|v| uses[v.index()] == 0))
+            .collect();
+        let mut rw = Rewrite::new();
+        while let Some(iid) = work.pop() {
+            let kind = &f.instrs[iid.index()].kind;
+            if !effects.is_removable_if_unused(kind) {
+                continue;
+            }
+            rw.remove(iid);
+            kind.for_each_operand(|op| {
+                let Some(v) = op.as_value() else { return };
+                uses[v.index()] -= 1;
+                if uses[v.index()] == 0 {
+                    if let ValueDef::Instr(def) = f.values[v.index()].def {
+                        if linked[def.index()] {
+                            work.push(def);
+                        }
+                    }
+                }
+            });
+        }
+        let changed = !rw.is_empty();
+        f.apply(&rw);
+        changed
     }
 }
 
@@ -68,7 +78,6 @@ impl FunctionPass for Dce {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::instr::Operand;
     use crate::module::Effect;
     use crate::passes::run_on_module;
     use crate::types::Type;
@@ -167,5 +176,54 @@ mod tests {
         let mut m = mb.finish();
         run_on_module(&Dce, &mut m);
         verify_module(&m).unwrap();
+    }
+
+    #[test]
+    fn removes_long_dead_chain() {
+        // Each add feeds the next; only the last is unused, so the chain
+        // dies from its end.
+        let mut mb = ModuleBuilder::new("m");
+        let mut fb = mb.function("f", vec![("x", Type::I64)], Type::I64);
+        let mut v = fb.param(0);
+        for i in 0..1000 {
+            v = fb.add(Type::I64, v, Operand::i64(i));
+        }
+        fb.ret(Some(Operand::i64(0)));
+        fb.finish();
+        let mut m = mb.finish();
+        assert!(run_on_module(&Dce, &mut m));
+        verify_module(&m).unwrap();
+        let (_, f) = m.function_by_name("f").unwrap();
+        assert_eq!(f.live_instr_count(), 0);
+        assert!(f.instrs.iter().all(|i| i.kind == crate::instr::InstrKind::Nop));
+    }
+
+    #[test]
+    fn keeps_dead_phi_cycle_and_its_operands() {
+        // `i` and `next` only use each other: each keeps the other alive,
+        // and the cycle keeps `seed`, which feeds it, alive too.
+        let mut mb = ModuleBuilder::new("m");
+        let mut fb = mb.function("f", vec![("c", Type::I1), ("x", Type::I64)], Type::I64);
+        let header = fb.new_block("h");
+        let exit = fb.new_block("x");
+        let entry = fb.current_block();
+        let seed = fb.add(Type::I64, fb.param(1), Operand::i64(0));
+        fb.br(header);
+        fb.switch_to(header);
+        let i = fb.phi(Type::I64, vec![(entry, seed), (header, Operand::i64(0))]);
+        let next = fb.add(Type::I64, i, Operand::i64(1));
+        if let crate::instr::InstrKind::Phi { incoming, .. } = &mut fb.func_mut().instrs[1].kind {
+            incoming[1].1 = next;
+        }
+        let c = fb.param(0);
+        fb.cond_br(c, header, exit);
+        fb.switch_to(exit);
+        fb.ret(Some(Operand::i64(0)));
+        fb.finish();
+        let mut m = mb.finish();
+        assert!(!run_on_module(&Dce, &mut m));
+        verify_module(&m).unwrap();
+        let (_, f) = m.function_by_name("f").unwrap();
+        assert_eq!(f.live_instr_count(), 3);
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::function::Function;
+use crate::function::{Function, Rewrite};
 use crate::instr::{InstrKind, Operand};
 use crate::passes::{EffectInfo, FunctionPass};
 
@@ -22,52 +22,51 @@ impl FunctionPass for Dse {
     }
 
     fn run(&self, effects: &EffectInfo, f: &mut Function) -> bool {
-        let mut changed = false;
-        for bi in 0..f.blocks.len() {
-            let bid = crate::ids::BlockId::new(bi);
-            // Walk backward; remember locations that will be overwritten
-            // before any potential read.
-            let mut overwritten: HashMap<String, u64> = HashMap::new();
-            let ids: Vec<_> = f.blocks[bi].instrs.clone();
-            for &iid in ids.iter().rev() {
-                let kind = f.instrs[iid.index()].kind.clone();
-                match &kind {
-                    InstrKind::Store { ty, ptr, .. } => {
-                        let key = op_key(ptr);
-                        let width = ty.size_of();
-                        if let Some(&later_width) = overwritten.get(&key) {
-                            if later_width >= width {
-                                f.remove_instr(bid, iid);
-                                changed = true;
-                                continue;
-                            }
-                        }
-                        overwritten.insert(key, width);
-                    }
-                    InstrKind::Load { .. }
-                    | InstrKind::MemCpy { .. }
-                    | InstrKind::MemSet { .. }
-                    | InstrKind::CallIndirect { .. } => overwritten.clear(),
-                    InstrKind::Call { .. }
-                        // Pure host calls cannot read program memory; any
-                        // other call might (or might abort, making the
-                        // earlier store observable).
-                        if effects.callee_of(&kind) != Some(crate::module::Effect::Pure) => {
-                            overwritten.clear();
-                        }
-                    _ => {}
-                }
-            }
-        }
+        let rw = dead_stores(effects, f);
+        let changed = !rw.is_empty();
+        f.apply(&rw);
         changed
     }
 }
 
-fn op_key(op: &Operand) -> String {
-    format!("{op:?}")
+/// Marks every store overwritten later in its block before a potential read.
+fn dead_stores(effects: &EffectInfo, f: &Function) -> Rewrite {
+    let mut rw = Rewrite::new();
+    // Walk each block backward; remember the locations (by pointer operand)
+    // that will be overwritten before any potential read, and the width.
+    let mut overwritten: HashMap<&Operand, u64> = HashMap::new();
+    for block in &f.blocks {
+        overwritten.clear();
+        for &iid in block.instrs.iter().rev() {
+            let kind = &f.instrs[iid.index()].kind;
+            match kind {
+                InstrKind::Store { ty, ptr, .. } => {
+                    let width = ty.size_of();
+                    if overwritten.get(ptr).is_some_and(|&later| later >= width) {
+                        rw.remove(iid);
+                        continue;
+                    }
+                    overwritten.insert(ptr, width);
+                }
+                InstrKind::Load { .. }
+                | InstrKind::MemCpy { .. }
+                | InstrKind::MemSet { .. }
+                | InstrKind::CallIndirect { .. } => overwritten.clear(),
+                InstrKind::Call { .. }
+                    // Pure host calls cannot read program memory; any
+                    // other call might (or might abort, making the
+                    // earlier store observable).
+                    if effects.callee_of(kind) != Some(crate::module::Effect::Pure) => {
+                        overwritten.clear();
+                    }
+                _ => {}
+            }
+        }
+    }
+    rw
 }
 
-impl EffectInfo {
+impl EffectInfo<'_> {
     /// Effect of a call instruction's callee, if `kind` is a direct call.
     pub fn callee_of(&self, kind: &InstrKind) -> Option<crate::module::Effect> {
         match kind {
@@ -181,5 +180,19 @@ mod tests {
             }
         "#);
         assert_eq!(store_count(&m), 2);
+    }
+
+    #[test]
+    fn removes_overwritten_store_to_a_constant_address() {
+        let m = run(r#"
+            global @g : i64 = zero
+            define void @f() {
+            entry:
+              store i64, i64 1, @g
+              store i64, i64 2, @g
+              ret
+            }
+        "#);
+        assert_eq!(store_count(&m), 1);
     }
 }

@@ -14,10 +14,10 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::analysis::{Cfg, DomTree};
-use crate::function::Function;
+use crate::function::{Function, Rewrite};
 use crate::ids::{BlockId, GlobalId, ValueId};
 use crate::instr::{BinOp, CastOp, FcmpPred, IcmpPred, InstrKind, Operand};
-use crate::passes::{EffectInfo, FunctionPass};
+use crate::passes::{DomVisit, EffectInfo, FunctionPass};
 use crate::types::Type;
 
 /// The GVN pass.
@@ -37,10 +37,9 @@ enum OpKey {
     Undef,
 }
 
-/// The canonical form of `op` after the pass's pending replacements
-/// (`subst[v]` replaces value `v`), followed to the end of the chain.
-fn op_key(op: &Operand, subst: &[Option<Operand>]) -> OpKey {
-    match resolve(op, subst) {
+/// The canonical form of `op` after the pass's pending replacements.
+fn op_key(op: &Operand, rw: &Rewrite) -> OpKey {
+    match rw.resolve(op) {
         Operand::Val(v) => OpKey::Val(*v),
         Operand::ConstInt { ty, value } => OpKey::Int(ty.clone(), *value),
         Operand::ConstFloat(f) => OpKey::Float(f.to_bits()),
@@ -49,14 +48,6 @@ fn op_key(op: &Operand, subst: &[Option<Operand>]) -> OpKey {
         Operand::FuncAddr(n) => OpKey::Func(n.clone()),
         Operand::Undef(_) => OpKey::Undef,
     }
-}
-
-/// `op` with the pending replacements applied.
-fn resolve<'a>(mut op: &'a Operand, subst: &'a [Option<Operand>]) -> &'a Operand {
-    while let Some(to) = op.as_value().and_then(|v| subst[v.index()].as_ref()) {
-        op = to;
-    }
-    op
 }
 
 /// Hashable canonical form of a pure expression.
@@ -78,8 +69,8 @@ enum MemKey {
     RoCall(String, Vec<OpKey>),
 }
 
-fn expr_key(effects: &EffectInfo, kind: &InstrKind, subst: &[Option<Operand>]) -> Option<ExprKey> {
-    let key = |op: &Operand| op_key(op, subst);
+fn expr_key(effects: &EffectInfo, kind: &InstrKind, rw: &Rewrite) -> Option<ExprKey> {
+    let key = |op: &Operand| op_key(op, rw);
     let keys = |ops: &[Operand]| ops.iter().map(key).collect();
     Some(match kind {
         InstrKind::Bin { op, ty, lhs, rhs } => {
@@ -115,13 +106,13 @@ fn expr_key(effects: &EffectInfo, kind: &InstrKind, subst: &[Option<Operand>]) -
     })
 }
 
-fn mem_key(effects: &EffectInfo, kind: &InstrKind, subst: &[Option<Operand>]) -> Option<MemKey> {
+fn mem_key(effects: &EffectInfo, kind: &InstrKind, rw: &Rewrite) -> Option<MemKey> {
     match kind {
-        InstrKind::Load { ty, ptr } => Some(MemKey::Load(ty.clone(), op_key(ptr, subst))),
+        InstrKind::Load { ty, ptr } => Some(MemKey::Load(ty.clone(), op_key(ptr, rw))),
         InstrKind::Call { callee, args, ret }
             if *ret != Type::Void && effects.callee(callee) == crate::module::Effect::ReadOnly =>
         {
-            Some(MemKey::RoCall(callee.clone(), args.iter().map(|a| op_key(a, subst)).collect()))
+            Some(MemKey::RoCall(callee.clone(), args.iter().map(|a| op_key(a, rw)).collect()))
         }
         _ => None,
     }
@@ -163,15 +154,6 @@ impl Hasher for KeyHasher {
 /// An availability table: canonical key → the value that computed it.
 type Table<K> = HashMap<K, Operand, BuildHasherDefault<KeyHasher>>;
 
-/// A step of the dominator-tree walk.
-enum Visit {
-    /// Number the block, then its dominator-tree children.
-    Enter(BlockId),
-    /// The block's subtree is done: drop the table entries logged after
-    /// this undo-log length.
-    Leave(usize),
-}
-
 impl FunctionPass for Gvn {
     fn name(&self) -> &'static str {
         "gvn"
@@ -181,12 +163,10 @@ impl FunctionPass for Gvn {
         let cfg = Cfg::compute(f);
         let dom = DomTree::compute(f, &cfg);
 
-        // Redundant values are replaced in one sweep at the end: `subst[v]`
-        // holds the replacement of value `v`, and keys read operands
-        // through it, so they see what immediate replacement would show.
-        let mut subst: Vec<Option<Operand>> = vec![None; f.values.len()];
-        let mut dead = vec![false; f.instrs.len()];
-        let mut changed = false;
+        // Redundant values are replaced in one sweep at the end; keys read
+        // operands through the rewrite, so they see what immediate
+        // replacement would show.
+        let mut rw = Rewrite::new();
 
         // One scoped table for pure expressions over the dominator tree:
         // each insertion is logged, and leaving a block's subtree removes
@@ -195,18 +175,18 @@ impl FunctionPass for Gvn {
         let mut undo: Vec<ExprKey> = Vec::new();
         // Block-local memory availability: cleared at block entry.
         let mut mem_avail: Table<MemKey> = Table::default();
-        let mut stack = vec![Visit::Enter(BlockId::new(0))];
+        let mut stack = vec![DomVisit::Enter(BlockId::new(0))];
         while let Some(visit) = stack.pop() {
             let bid = match visit {
-                Visit::Enter(bid) => bid,
-                Visit::Leave(mark) => {
+                DomVisit::Enter(bid) => bid,
+                DomVisit::Leave(mark) => {
                     for key in undo.drain(mark..) {
                         avail.remove(&key);
                     }
                     continue;
                 }
             };
-            stack.push(Visit::Leave(undo.len()));
+            stack.push(DomVisit::Leave(undo.len()));
             mem_avail.clear();
             for &iid in &f.blocks[bid.index()].instrs {
                 let instr = &f.instrs[iid.index()];
@@ -218,15 +198,15 @@ impl FunctionPass for Gvn {
                 }
                 // Store-to-load forwarding: remember the stored value.
                 if let InstrKind::Store { ty, value, ptr } = kind {
-                    let key = MemKey::Load(ty.clone(), op_key(ptr, &subst));
-                    mem_avail.insert(key, resolve(value, &subst).clone());
+                    let key = MemKey::Load(ty.clone(), op_key(ptr, &rw));
+                    mem_avail.insert(key, rw.resolve(value).clone());
                     continue;
                 }
 
                 // Pure expression numbering, then memory-dependent
                 // numbering (block local).
                 let Some(result) = instr.result else { continue };
-                let prev = if let Some(key) = expr_key(effects, kind, &subst) {
+                let prev = if let Some(key) = expr_key(effects, kind, &rw) {
                     match avail.entry(key) {
                         Entry::Occupied(prev) => prev.get().clone(),
                         Entry::Vacant(slot) => {
@@ -235,7 +215,7 @@ impl FunctionPass for Gvn {
                             continue;
                         }
                     }
-                } else if let Some(key) = mem_key(effects, kind, &subst) {
+                } else if let Some(key) = mem_key(effects, kind, &rw) {
                     match mem_avail.entry(key) {
                         Entry::Occupied(prev) => prev.get().clone(),
                         Entry::Vacant(slot) => {
@@ -246,34 +226,16 @@ impl FunctionPass for Gvn {
                 } else {
                     continue;
                 };
-                subst[result.index()] = Some(prev);
-                dead[iid.index()] = true;
-                changed = true;
+                rw.replace(result, prev);
+                rw.remove(iid);
             }
             for &child in dom.children(bid) {
-                stack.push(Visit::Enter(child));
+                stack.push(DomVisit::Enter(child));
             }
         }
 
-        if changed {
-            for block in &mut f.blocks {
-                block.instrs.retain(|i| !dead[i.index()]);
-            }
-            for (instr, _) in f.instrs.iter_mut().zip(&dead).filter(|(_, d)| **d) {
-                instr.kind = InstrKind::Nop;
-            }
-            let substitute = |op: &mut Operand| {
-                if op.as_value().is_some_and(|v| subst[v.index()].is_some()) {
-                    *op = resolve(op, &subst).clone();
-                }
-            };
-            for instr in &mut f.instrs {
-                instr.kind.for_each_operand_mut(substitute);
-            }
-            for block in &mut f.blocks {
-                block.term.for_each_operand_mut(substitute);
-            }
-        }
+        let changed = !rw.is_empty();
+        f.apply(&rw);
         changed
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use crate::function::Function;
+use crate::function::{Function, Rewrite};
 use crate::ids::{BlockId, InstrId, ValueId};
 use crate::instr::{InstrKind, Operand, Terminator};
 use crate::module::Module;
@@ -52,19 +52,22 @@ impl ModulePass for Inline {
         if inlinable.is_empty() {
             return false;
         }
-        for fi in 0..m.functions.len() {
-            if m.functions[fi].is_declaration {
+        for f in &mut m.functions {
+            if f.is_declaration {
                 continue;
             }
-            // Repeat until no eligible call site remains (inlined bodies are
-            // leaves, so this terminates after one wave per original site).
-            loop {
-                let site = find_site(&m.functions[fi], &inlinable);
-                let Some((block, iid, callee)) = site else { break };
-                let callee_fn = inlinable[&callee].clone();
-                inline_site(&mut m.functions[fi], block, iid, &callee_fn);
+            // Scan on from each inlined site until no eligible call remains.
+            // Inlined bodies are leaves and the rest of a split block moves
+            // to a new block at the end, so one pass over the blocks visits
+            // every site, in the order a rescan from the start would find
+            // them. Call results are replaced in one sweep at the end.
+            let mut rw = Rewrite::new();
+            let mut cursor = (0, 0);
+            while let Some((block, iid, callee)) = next_site(f, &inlinable, &mut cursor) {
+                inline_site(f, block, iid, &inlinable[&callee], &mut rw);
                 changed = true;
             }
+            f.apply(&rw);
         }
         changed
     }
@@ -101,27 +104,37 @@ fn allocas_only_in_entry(f: &Function) -> bool {
     true
 }
 
-fn find_site(
+/// The first eligible call site at or after `cursor` (block index,
+/// position), which is left at that site.
+fn next_site(
     f: &Function,
     inlinable: &HashMap<String, Function>,
+    cursor: &mut (usize, usize),
 ) -> Option<(BlockId, InstrId, String)> {
-    for (bid, block) in f.iter_blocks() {
-        for &iid in &block.instrs {
+    while cursor.0 < f.blocks.len() {
+        let block = &f.blocks[cursor.0];
+        while let Some(&iid) = block.instrs.get(cursor.1) {
             if let InstrKind::Call { callee, .. } = &f.instrs[iid.index()].kind {
-                if callee != &f.name {
-                    if let Some(c) = inlinable.get(callee) {
-                        let _ = c;
-                        return Some((bid, iid, callee.clone()));
-                    }
+                if callee != &f.name && inlinable.contains_key(callee) {
+                    return Some((BlockId::new(cursor.0), iid, callee.clone()));
                 }
             }
+            cursor.1 += 1;
         }
+        *cursor = (cursor.0 + 1, 0);
     }
     None
 }
 
-/// Inlines `callee` at call instruction `call_iid` in block `call_block`.
-fn inline_site(f: &mut Function, call_block: BlockId, call_iid: InstrId, callee: &Function) {
+/// Inlines `callee` at call instruction `call_iid` in block `call_block`;
+/// the call's result is replaced through `rw`.
+fn inline_site(
+    f: &mut Function,
+    call_block: BlockId,
+    call_iid: InstrId,
+    callee: &Function,
+    rw: &mut Rewrite,
+) {
     let (args, call_result) = {
         let instr = &f.instrs[call_iid.index()];
         let args = match &instr.kind {
@@ -143,10 +156,8 @@ fn inline_site(f: &mut Function, call_block: BlockId, call_iid: InstrId, callee:
     f.blocks[cont.index()].term =
         std::mem::replace(&mut f.blocks[call_block.index()].term, Terminator::Unreachable);
     // Successor phis that referenced call_block now come from cont.
-    let succs = f.blocks[cont.index()].term.successors();
-    for s in succs {
-        let ids = f.blocks[s.index()].instrs.clone();
-        for iid in ids {
+    for s in f.blocks[cont.index()].term.successors() {
+        for &iid in &f.blocks[s.index()].instrs {
             if let InstrKind::Phi { incoming, .. } = &mut f.instrs[iid.index()].kind {
                 for (pred, _) in incoming.iter_mut() {
                     if *pred == call_block {
@@ -277,7 +288,7 @@ fn inline_site(f: &mut Function, call_block: BlockId, call_iid: InstrId, callee:
                 Operand::Val(f.instr_result(phi).expect("phi result"))
             }
         };
-        f.replace_all_uses(res, &replacement);
+        rw.replace(res, replacement);
     }
     // Tombstone the call.
     f.instrs[call_iid.index()].kind = InstrKind::Nop;

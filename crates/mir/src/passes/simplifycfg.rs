@@ -1,7 +1,8 @@
 //! CFG simplification: constant branch folding, unreachable-code removal,
 //! straight-line block merging, and single-entry phi elimination.
 
-use crate::function::Function;
+use crate::analysis::Cfg;
+use crate::function::{Function, Rewrite};
 use crate::ids::BlockId;
 use crate::instr::{InstrKind, Terminator};
 use crate::passes::{remove_unreachable_blocks, EffectInfo, FunctionPass};
@@ -18,15 +19,19 @@ impl FunctionPass for SimplifyCfg {
     fn run(&self, _effects: &EffectInfo, f: &mut Function) -> bool {
         let mut changed_any = false;
         loop {
-            let mut changed = false;
-            changed |= fold_constant_branches(f);
-            changed |= remove_unreachable_blocks(f);
+            // Folding a branch, dropping unreachable blocks or replacing a
+            // phi can enable more of each other. A merge cannot: it moves a
+            // terminator, keeps every other block's predecessor count, and
+            // leaves no chain unmerged, so it never needs a round of its own.
+            let mut changed = fold_constant_branches(f);
+            let (pruned, cfg) = remove_unreachable_blocks(f);
+            changed |= pruned;
+            // Replacing phis leaves the CFG as it is.
             changed |= simplify_single_incoming_phis(f);
-            changed |= merge_straight_line_blocks(f);
+            changed_any |= changed | merge_straight_line_blocks(f, &cfg);
             if !changed {
                 break;
             }
-            changed_any = true;
         }
         changed_any
     }
@@ -63,8 +68,7 @@ fn fold_constant_branches(f: &mut Function) -> bool {
 
 /// Removes the incoming entry for edge `pred -> block` from `block`'s phis.
 fn remove_phi_incoming(f: &mut Function, block: BlockId, pred: BlockId) {
-    let ids = f.blocks[block.index()].instrs.clone();
-    for iid in ids {
+    for &iid in &f.blocks[block.index()].instrs {
         if let InstrKind::Phi { incoming, .. } = &mut f.instrs[iid.index()].kind {
             incoming.retain(|(b, _)| *b != pred);
         }
@@ -73,88 +77,84 @@ fn remove_phi_incoming(f: &mut Function, block: BlockId, pred: BlockId) {
 
 /// Replaces phis that have exactly one incoming entry with that value.
 fn simplify_single_incoming_phis(f: &mut Function) -> bool {
-    let mut changed = false;
-    for bi in 0..f.blocks.len() {
-        let bid = BlockId::new(bi);
-        let ids = f.blocks[bi].instrs.clone();
-        for iid in ids {
-            let rep = match &f.instrs[iid.index()].kind {
-                InstrKind::Phi { incoming, .. } if incoming.len() == 1 => incoming[0].1.clone(),
+    let mut rw = Rewrite::new();
+    for block in &f.blocks {
+        for &iid in &block.instrs {
+            let instr = &f.instrs[iid.index()];
+            let rep = match &instr.kind {
+                InstrKind::Phi { incoming, .. } if incoming.len() == 1 => {
+                    rw.resolve(&incoming[0].1)
+                }
                 _ => continue,
             };
-            let result = f.instrs[iid.index()].result.expect("phi result");
+            let result = instr.result.expect("phi result");
             // A self-referential single-incoming phi is unreachable garbage.
             if rep.as_value() == Some(result) {
                 continue;
             }
-            f.replace_all_uses(result, &rep);
-            f.remove_instr(bid, iid);
-            changed = true;
+            rw.replace(result, rep.clone());
+            rw.remove(iid);
         }
     }
+    let changed = !rw.is_empty();
+    f.apply(&rw);
     changed
 }
 
-/// Merges block `b` into its unique predecessor `a` when `a` unconditionally
-/// branches to `b` and `b` has no other predecessors.
-fn merge_straight_line_blocks(f: &mut Function) -> bool {
-    let cfg = crate::analysis::Cfg::compute(f);
-    // Find a mergeable pair (one per iteration keeps bookkeeping simple;
-    // the driver loop reaches a fixpoint).
+/// Merges every block `b` into its unique predecessor `a` when `a`
+/// unconditionally branches to `b`, in one scan: `a` absorbs the whole
+/// straight-line chain it heads. A merge leaves every other block's
+/// predecessor count unchanged, so `cfg`, the CFG before the scan, serves
+/// the whole scan.
+fn merge_straight_line_blocks(f: &mut Function, cfg: &Cfg) -> bool {
+    let mut rw = Rewrite::new();
+    let mut changed = false;
     for ai in 0..f.blocks.len() {
         let a = BlockId::new(ai);
         if !cfg.is_reachable(a) {
             continue;
         }
-        let b = match f.blocks[ai].term {
-            Terminator::Br(b) => b,
-            _ => continue,
-        };
-        if b == a || cfg.preds(b).len() != 1 {
-            continue;
-        }
-        // b's phis all have a single incoming (from a) — resolve them first.
-        let ids = f.blocks[b.index()].instrs.clone();
-        let mut resolvable = true;
-        for &iid in &ids {
-            if let InstrKind::Phi { incoming, .. } = &f.instrs[iid.index()].kind {
-                if incoming.len() != 1 {
-                    resolvable = false;
+        while let Terminator::Br(b) = f.blocks[ai].term {
+            if b == a || cfg.preds(b).len() != 1 {
+                break;
+            }
+            // b's phis all have a single incoming (from a): resolve them.
+            let phis_resolvable = f.blocks[b.index()].instrs.iter().all(|&iid| {
+                !matches!(&f.instrs[iid.index()].kind, InstrKind::Phi { incoming, .. } if incoming.len() != 1)
+            });
+            if !phis_resolvable {
+                break;
+            }
+            for &iid in &f.blocks[b.index()].instrs {
+                let instr = &f.instrs[iid.index()];
+                if let InstrKind::Phi { incoming, .. } = &instr.kind {
+                    let rep = rw.resolve(&incoming[0].1).clone();
+                    rw.replace(instr.result.expect("phi result"), rep);
+                    rw.remove(iid);
                 }
             }
-        }
-        if !resolvable {
-            continue;
-        }
-        for iid in ids {
-            if let InstrKind::Phi { incoming, .. } = &f.instrs[iid.index()].kind {
-                let rep = incoming[0].1.clone();
-                let result = f.instrs[iid.index()].result.expect("phi result");
-                f.replace_all_uses(result, &rep);
-                f.remove_instr(b, iid);
-            }
-        }
-        // Move instructions and terminator.
-        let moved = std::mem::take(&mut f.blocks[b.index()].instrs);
-        let term = std::mem::replace(&mut f.blocks[b.index()].term, Terminator::Unreachable);
-        f.blocks[ai].instrs.extend(moved);
-        f.blocks[ai].term = term;
-        // Successors of b now have predecessor a instead of b.
-        for s in f.blocks[ai].term.successors() {
-            let ids = f.blocks[s.index()].instrs.clone();
-            for iid in ids {
-                if let InstrKind::Phi { incoming, .. } = &mut f.instrs[iid.index()].kind {
-                    for (pred, _) in incoming.iter_mut() {
-                        if *pred == b {
-                            *pred = a;
+            // Move instructions and terminator.
+            let moved = std::mem::take(&mut f.blocks[b.index()].instrs);
+            let term = std::mem::replace(&mut f.blocks[b.index()].term, Terminator::Unreachable);
+            f.blocks[ai].instrs.extend(moved);
+            f.blocks[ai].term = term;
+            // Successors of b now have predecessor a instead of b.
+            for s in f.blocks[ai].term.successors() {
+                for &iid in &f.blocks[s.index()].instrs {
+                    if let InstrKind::Phi { incoming, .. } = &mut f.instrs[iid.index()].kind {
+                        for (pred, _) in incoming.iter_mut() {
+                            if *pred == b {
+                                *pred = a;
+                            }
                         }
                     }
                 }
             }
+            changed = true;
         }
-        return true;
     }
-    false
+    f.apply(&rw);
+    changed
 }
 
 #[cfg(test)]
@@ -262,5 +262,28 @@ mod tests {
         let cfg = crate::analysis::Cfg::compute(f);
         let header_preds = cfg.preds(crate::ids::BlockId::new(1)).len();
         assert_eq!(header_preds, 2);
+    }
+
+    #[test]
+    fn collapses_a_chain_of_1000_blocks_in_one_call() {
+        let mut mb = ModuleBuilder::new("m");
+        let mut fb = mb.function("f", vec![("x", Type::I64)], Type::I64);
+        let mut v = fb.param(0);
+        for i in 0..1000 {
+            let next = fb.new_block(format!("b{i}"));
+            fb.br(next);
+            fb.switch_to(next);
+            v = fb.add(Type::I64, v, Operand::i64(1));
+        }
+        fb.ret(Some(v));
+        fb.finish();
+        let mut m = mb.finish();
+        assert!(run_on_module(&SimplifyCfg, &mut m));
+        verify_module(&m).unwrap();
+        let (_, f) = m.function_by_name("f").unwrap();
+        assert_eq!(f.blocks[0].instrs.len(), 1000);
+        assert!(matches!(f.blocks[0].term, Terminator::Ret(_)));
+        assert!(f.blocks[1..].iter().all(|b| b.instrs.is_empty()));
+        assert!(!run_on_module(&SimplifyCfg, &mut m), "a second run finds nothing left");
     }
 }
