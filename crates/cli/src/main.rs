@@ -76,11 +76,12 @@
 //!   --wrapper-checks                        enable Figure-6 wrapper checks
 //!   --vm walk|bytecode                      VM backend (default bytecode; the
 //!                                           tree-walker is the reference
-//!                                           semantics; also on eval and fuzz)
+//!                                           semantics; every subcommand)
 //!   --connect PATH                          (run) submit the program to a
 //!                                           running `mi serve` daemon instead
 //!                                           of executing in-process; output
 //!                                           and exit code are identical
+//!                                           (no --trace/--flame/--vm)
 //!   --trace trace.json                      (run) write a Chrome trace_event
 //!                                           JSON of the pass pipeline,
 //!                                           viewable in Perfetto
@@ -148,8 +149,10 @@ struct Options {
     trace: Option<String>,
     /// Collapsed-stack output path for the cost-driven flame sampler.
     flame: Option<String>,
-    /// Effective sampling interval (non-zero iff sampling is on).
-    sample_interval: u64,
+    /// VM backend and effective sampling interval (non-zero iff sampling is on).
+    vm: VmConfig,
+    /// Whether `--vm` was given (`--connect` refuses it: the daemon's VM runs).
+    vm_flag: bool,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -160,17 +163,17 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opt = OptConfig::default();
     let mut narrow = false;
     let mut wrappers = false;
-    let mut backend = VmBackend::default();
+    let (mut vm, mut vm_flag) = (VmConfig::default(), false);
     let mut trace = None;
     let mut flame = None;
-    let mut sample_interval = 0u64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--trace" => trace = Some(flag_value(&mut it, a, "a path")?),
             "--flame" => flame = Some(flag_value(&mut it, a, "a path")?),
             "--sample-interval" => {
-                sample_interval = flag_value::<NonZeroU64>(&mut it, a, "a positive number")?.get()
+                vm.sample_interval =
+                    flag_value::<NonZeroU64>(&mut it, a, "a positive number")?.get()
             }
             "--mech" => {
                 mech = match it.next().map(String::as_str) {
@@ -205,8 +208,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--no-opt-ipo" => opt.ipo = false,
             "--narrow" => narrow = true,
             "--wrapper-checks" => wrappers = true,
-            "--vm" => backend = flag_value(&mut it, a, "walk|bytecode")?,
-            a if a.starts_with("--vm=") => backend = VmBackend::from_str(&a["--vm=".len()..])?,
+            "--vm" => (vm.backend, vm_flag) = (flag_value(&mut it, a, "walk|bytecode")?, true),
             other => return Err(format!("unknown option {other}")),
         }
     }
@@ -217,12 +219,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             c.sb_wrapper_checks = wrappers;
         }),
     };
-    if flame.is_some() && sample_interval == 0 {
-        sample_interval = DEFAULT_SAMPLE_INTERVAL;
+    if flame.is_some() && vm.sample_interval == 0 {
+        vm.sample_interval = DEFAULT_SAMPLE_INTERVAL;
     }
-    let cell =
-        cell.at(ep).opt_level(opt_level).vm_backend(backend).sample_interval(sample_interval);
-    Ok(Options { cell, trace, flame, sample_interval })
+    Ok(Options { cell: cell.at(ep).opt_level(opt_level), trace, flame, vm, vm_flag })
 }
 
 /// Runs `main` of `prog` under the cell's VM configuration, writing the
@@ -239,7 +239,7 @@ fn run_local(
         eprintln!("[mi] {t}");
         ExitCode::FAILURE
     };
-    let mut vm = prog.make_vm(o.cell.vm_config()).map_err(trapped)?;
+    let mut vm = prog.make_vm(o.vm).map_err(trapped)?;
     let result = vm.run("main", &[]);
     if let (Some(path), Some(f)) = (&o.flame, vm.flame()) {
         if let Err(e) = std::fs::write(path, f.render()) {
@@ -249,7 +249,7 @@ fn run_local(
         eprintln!(
             "[{tag}] flame profile ({} samples, 1 per {} cost units) written to {path}",
             f.total_samples(),
-            o.sample_interval
+            o.vm.sample_interval
         );
     }
     result.map_err(trapped)
@@ -371,7 +371,7 @@ fn cmd_stats(module: mir::Module, o: &Options) -> ExitCode {
     println!("  allocas replaced : {}", s.allocas_replaced);
     println!("  globals mirrored : {}", s.globals_mirrored);
     println!("  ipo summaries    : {}", s.summaries_computed);
-    match (prog.run_main(o.cell.vm_config()), base.run_main(o.cell.vm_config())) {
+    match (prog.run_main(o.vm), base.run_main(o.vm)) {
         (Ok(out), Ok(b)) => {
             let d = &out.stats;
             println!("dynamic:");
@@ -549,7 +549,6 @@ fn cmd_eval(args: &[String]) -> ExitCode {
             match a.as_str() {
                 "--jobs" | "-j" => jobs = flag_value(&mut it, "--jobs", "a number")?,
                 "--vm" => backend = flag_value(&mut it, a, "walk|bytecode")?,
-                a if a.starts_with("--vm=") => backend = VmBackend::from_str(&a["--vm=".len()..])?,
                 "--out" | "-o" => out_path = Some(flag_value(&mut it, "--out", "a path")?),
                 "--trace" => trace_path = Some(flag_value(&mut it, a, "a path")?),
                 "--metrics" => metrics_path = Some(flag_value(&mut it, a, "a path")?),
@@ -704,9 +703,6 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 "--fail-dir" => opts.fail_dir = Some(flag_value(&mut it, a, "a path")?),
                 "--no-shrink" => opts.shrink = false,
                 "--vm" => opts.backend = flag_value(&mut it, a, "walk|bytecode")?,
-                a if a.starts_with("--vm=") => {
-                    opts.backend = VmBackend::from_str(&a["--vm=".len()..])?
-                }
                 other => return Err(format!("unknown fuzz option {other}")),
             }
         }
@@ -748,9 +744,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     cfg.default_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
                 }
                 "--vm" => cfg.vm.backend = flag_value(&mut it, a, "walk|bytecode")?,
-                a if a.starts_with("--vm=") => {
-                    cfg.vm.backend = VmBackend::from_str(&a["--vm=".len()..])?
-                }
                 other => return Err(format!("unknown serve option {other}")),
             }
         }
@@ -987,8 +980,8 @@ fn cmd_bench_serve(args: &[String]) -> ExitCode {
 /// JSON is the driver's, byte-for-byte).
 fn cmd_run_connect(path: &str, socket: &str, o: &Options) -> ExitCode {
     use telemetry::json::Json;
-    if o.trace.is_some() || o.flame.is_some() {
-        eprintln!("error: --trace/--flame are not available with --connect");
+    if o.trace.is_some() || o.flame.is_some() || o.vm_flag {
+        eprintln!("error: --trace/--flame/--vm are not available with --connect");
         return ExitCode::from(2);
     }
     let (name, text) = match resolve_source(path) {
@@ -1060,23 +1053,27 @@ fn cmd_run_connect(path: &str, socket: &str, o: &Options) -> ExitCode {
     ExitCode::from((ret & 0xFF) as u8)
 }
 
+/// Spells `--vm=<backend>` as `--vm <backend>`, so every subcommand
+/// parser takes both forms through its one `--vm` arm.
+fn split_vm_eq(a: String) -> Vec<String> {
+    match a.strip_prefix("--vm=") {
+        Some(backend) => vec!["--vm".into(), backend.into()],
+        None => vec![a],
+    }
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).flat_map(split_vm_eq).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => return usage(),
     };
-    if cmd == "eval" {
-        return cmd_eval(rest);
-    }
-    if cmd == "fuzz" {
-        return cmd_fuzz(rest);
-    }
-    if cmd == "serve" {
-        return cmd_serve(rest);
-    }
-    if cmd == "bench-serve" {
-        return cmd_bench_serve(rest);
+    match cmd {
+        "eval" => return cmd_eval(rest),
+        "fuzz" => return cmd_fuzz(rest),
+        "serve" => return cmd_serve(rest),
+        "bench-serve" => return cmd_bench_serve(rest),
+        _ => {}
     }
     let (path, opt_args) = match rest.split_first() {
         Some((p, o)) if !p.starts_with("--") => (p.as_str(), o),

@@ -100,6 +100,33 @@ fn bad_option_reports_usage() {
     assert!(err.contains("bad --mech"), "{err}");
 }
 
+/// A served job runs under the daemon's own `--vm`, so `--connect` refuses
+/// the flag (in both spellings) before it contacts any daemon.
+#[test]
+fn run_connect_rejects_vm() {
+    for vm in [&["--vm", "walk"][..], &["--vm=walk"]] {
+        let out = mi()
+            .args(["run", "183equake", "--connect", "/nonexistent/mi.sock"])
+            .args(vm)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{vm:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--vm") && err.contains("--connect"), "{err}");
+    }
+}
+
+#[test]
+fn bench_serve_accepts_vm_eq() {
+    let out = mi()
+        .args(["bench-serve", "--vm=walk", "--programs", "1", "--requests", "1"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("warm/cold throughput"), "{stdout}");
+}
+
 #[test]
 fn frontend_error_is_reported_with_location() {
     let path = write_temp("broken.c", "long main(void) {\n  return nope;\n}");

@@ -15,9 +15,10 @@
 //!
 //! The oracle ([`oracle`]) sweeps both through a 14-configuration
 //! matrix (baseline + three mechanisms × O0/three O3 extension points)
-//! on the cached `bench::driver`. Failing cases are minimized by the
-//! structural shrinker ([`shrink`]) and written out as standalone `.c`
-//! repros replayable from the `(seed, index)` pair alone.
+//! through the typed job API (`bench::job`) against one case-local
+//! artifact store. Failing cases are minimized by the structural shrinker
+//! ([`shrink`]) and written out as standalone `.c` repros replayable from
+//! the `(seed, index)` pair alone.
 //!
 //! Everything is deterministic: the same seed and case count produce a
 //! byte-identical report, independent of worker count.
@@ -47,10 +48,9 @@ pub struct FuzzOpts {
     pub shrink: bool,
     /// Where to write minimized `.c` repros for failing cases.
     pub fail_dir: Option<PathBuf>,
-    /// VM backend the oracle matrix executes under. Independent of the
-    /// backend, every eighth case is additionally swept through *both*
-    /// backends and the reports byte-compared
-    /// ([`oracle::backend_divergence`]).
+    /// VM backend the oracle matrix executes under. Every eighth case
+    /// also reruns its matrix under the other backend, against the same
+    /// artifact store, and compares the two runs cell by cell.
     pub backend: memvm::VmBackend,
 }
 
@@ -181,12 +181,9 @@ pub fn fuzz(opts: &FuzzOpts) -> FuzzReport {
         let (safe, mutant) = case_programs(opts.seed, index);
         let m = mutant.mutation.clone().expect("mutant");
         let title = format!("fuzz seed={} case={index}", opts.seed);
-        let mut errors = oracle::check_pair_with(&safe, &mutant, &title, vm);
-        // Sampled dual-backend sweep: every eighth case also runs the
-        // whole matrix under the other backend and byte-compares.
-        if index % 8 == 0 {
-            errors.extend(oracle::backend_divergence(&safe, &mutant, &title));
-        }
+        // Every eighth case also reruns its matrix under the other VM
+        // backend and compares the two cell by cell.
+        let errors = oracle::check_case(&safe, &mutant, &title, vm, index % 8 == 0);
         let minimized = if errors.is_empty() {
             None
         } else {

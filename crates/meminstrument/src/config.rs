@@ -5,7 +5,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use memvm::{VmBackend, VmConfig};
 use mir::pipeline::{ExtensionPoint, OptLevel};
 
 use crate::runtime::BuildOptions;
@@ -206,41 +205,23 @@ impl MiConfig {
 pub struct Instrument {
     config: Option<MiConfig>,
     opts: BuildOptions,
-    /// Which VM engine executes the compiled program. Deliberately *not*
-    /// part of the configuration label: both backends are byte-identical,
-    /// so reports stay comparable across backends.
-    backend: VmBackend,
-    /// Flame-sampler interval in cost units (0 = profiling off). Also not
-    /// part of the label: sampling observes execution without perturbing
-    /// it, so configurations stay comparable with or without a profile.
-    sample_interval: u64,
 }
 
 impl Instrument {
     /// Instrumentation with `mechanism` at the paper's default pipeline
     /// position (`O3` @ `VectorizerStart`).
     pub fn mechanism(mechanism: Mechanism) -> Instrument {
-        Instrument {
-            config: Some(MiConfig::new(mechanism)),
-            opts: BuildOptions::default(),
-            backend: VmBackend::default(),
-            sample_interval: 0,
-        }
+        Instrument { config: Some(MiConfig::new(mechanism)), opts: BuildOptions::default() }
     }
 
     /// The uninstrumented baseline at the default pipeline position.
     pub fn baseline() -> Instrument {
-        Instrument {
-            config: None,
-            opts: BuildOptions::default(),
-            backend: VmBackend::default(),
-            sample_interval: 0,
-        }
+        Instrument { config: None, opts: BuildOptions::default() }
     }
 
     /// Builds from already-assembled parts (`None` config = baseline).
     pub fn from_parts(config: Option<MiConfig>, opts: BuildOptions) -> Instrument {
-        Instrument { config, opts, backend: VmBackend::default(), sample_interval: 0 }
+        Instrument { config, opts }
     }
 
     /// Sets the extension point the instrumentation is inserted at.
@@ -289,29 +270,6 @@ impl Instrument {
     /// The mechanism (`None` for the baseline).
     pub fn mechanism_kind(&self) -> Option<Mechanism> {
         self.config.as_ref().map(|c| c.mechanism)
-    }
-
-    /// Selects the VM execution engine (tree-walker or bytecode).
-    pub fn vm_backend(mut self, backend: VmBackend) -> Instrument {
-        self.backend = backend;
-        self
-    }
-
-    /// Enables the cost-driven flame sampler: one stack sample every
-    /// `interval` charged cost units (0 disables sampling, the default).
-    pub fn sample_interval(mut self, interval: u64) -> Instrument {
-        self.sample_interval = interval;
-        self
-    }
-
-    /// The [`VmConfig`] matching this cell: defaults plus the selected
-    /// backend.
-    pub fn vm_config(&self) -> VmConfig {
-        VmConfig {
-            backend: self.backend,
-            sample_interval: self.sample_interval,
-            ..VmConfig::default()
-        }
     }
 
     /// The pipeline options.
@@ -431,12 +389,7 @@ impl FromStr for Instrument {
         };
         let opts = BuildOptions { opt: opt.parse()?, ep: ep.parse()? };
         if mech_spec == "baseline" || mech_spec == "none" {
-            return Ok(Instrument {
-                config: None,
-                opts,
-                backend: VmBackend::default(),
-                sample_interval: 0,
-            });
+            return Ok(Instrument { config: None, opts });
         }
         let mut tokens = mech_spec.split('+');
         let mech_spec = tokens.next().unwrap_or_default();
@@ -461,12 +414,7 @@ impl FromStr for Instrument {
             }
             *field(&mut config) = set;
         }
-        Ok(Instrument {
-            config: Some(config),
-            opts,
-            backend: VmBackend::default(),
-            sample_interval: 0,
-        })
+        Ok(Instrument { config: Some(config), opts })
     }
 }
 

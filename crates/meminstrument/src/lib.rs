@@ -73,9 +73,6 @@ pub use pass::MemInstrumentPass;
 pub use runtime::{compile, compile_and_run, BuildOptions, CompiledProgram, SbAccess, SbAccessLog};
 pub use stats::InstrStats;
 
-/// Re-export of the VM backend selector, for `Instrument::vm_backend`.
-pub use memvm::VmBackend;
-
 // Re-exported so builder call sites can name pipeline cells without an
 // explicit `mir` dependency edge in every downstream crate.
 pub use mir::pipeline::{ExtensionPoint, OptLevel};

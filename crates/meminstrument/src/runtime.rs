@@ -245,7 +245,7 @@ impl crate::config::Instrument {
     /// [`Trap::MemSafetyViolation`] when the instrumentation catches an
     /// error.
     pub fn run(&self, module: Module) -> Result<ExecOutcome, Trap> {
-        self.compile(module, None).run_main(self.vm_config())
+        self.compile(module, None).run_main(VmConfig::default())
     }
 }
 

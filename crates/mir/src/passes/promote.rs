@@ -15,7 +15,7 @@
 use crate::analysis::{Cfg, DomTree, LoopForest};
 use crate::function::Function;
 use crate::ids::{BlockId, InstrId, ValueId};
-use crate::instr::{InstrKind, Operand, Terminator};
+use crate::instr::{InstrKind, Operand};
 use crate::passes::{EffectInfo, FunctionPass};
 use crate::types::Type;
 
@@ -32,14 +32,10 @@ impl FunctionPass for PromoteLoopScalars {
     fn run(&self, effects: &EffectInfo, f: &mut Function) -> bool {
         let cfg = Cfg::compute(f);
         let dom = DomTree::compute(f, &cfg);
-        let _ = &dom;
         let forest = LoopForest::compute(&cfg, &dom);
         let mut changed = false;
         for l in &forest.loops {
-            let Some(pre) = l.preheader(&cfg) else { continue };
-            if !matches!(f.blocks[pre.index()].term, Terminator::Br(t) if t == l.header) {
-                continue;
-            }
+            let Some(pre) = l.dedicated_preheader(f, &cfg) else { continue };
             changed |= promote_in_loop(effects, f, &cfg, l, pre);
         }
         changed
@@ -126,14 +122,7 @@ fn promote_in_loop(
     pre: BlockId,
 ) -> bool {
     // Values defined inside the loop (their pointers are loop-variant).
-    let mut defined_in = std::collections::BTreeSet::new();
-    for &b in &l.blocks {
-        for &iid in &f.blocks[b.index()].instrs {
-            if let Some(v) = f.instrs[iid.index()].result {
-                defined_in.insert(v);
-            }
-        }
-    }
+    let defined_in = l.defined_values(f);
     let invariant =
         |f: &Function, op: &Operand, defined_in: &std::collections::BTreeSet<ValueId>| -> bool {
             // The operand itself, and — for the const-gep case — its base,

@@ -166,7 +166,7 @@ fn check_fast_path_hands_over_to_the_closure_invisibly() {
         for inst in &configs {
             let cell = format!("{} [{inst}]", p.name);
             let prog = inst.compile(module.clone(), None);
-            let base = inst.vm_config();
+            let base = VmConfig::default();
             let image = prog.make_vm(base).unwrap().bytecode_image();
             let both = |cfg: VmConfig, deadline: bool| {
                 let walk = observe(&prog, None, cfg, deadline);
@@ -265,7 +265,7 @@ fn superinstructions_fall_back_invisibly_at_every_charge_boundary() {
         for inst in &configs {
             let cell = format!("{} [{inst}]", p.name);
             let prog = inst.compile(module.clone(), None);
-            let base = inst.vm_config();
+            let base = VmConfig::default();
             let image = prog.make_vm(base).unwrap().bytecode_image();
             let both = |cfg: VmConfig, deadline: bool| {
                 let walk = observe(&prog, None, cfg, deadline);
