@@ -767,6 +767,85 @@ mod tests {
         }
     }
 
+    /// A program that allocates, checks (four checks survive at O3) and
+    /// prints, compiled under `config` into `store` the way [`execute`]
+    /// stores it.
+    fn stored(store: &ArtifactStore, config: &Instrument) -> Arc<CompiledProgram> {
+        let text = "long get(long *p, long i) { return p[i]; }
+        long main(void) {
+            long *p = (long*)malloc(4 * sizeof(long));
+            for (long i = 0; i < 4; i += 1) p[i] = i + 10;
+            long s = 0;
+            for (long i = 0; i < 4; i += 1) s += get(p, p[i] - 10);
+            print_i64(s);
+            return 0;
+        }";
+        let module = cfront::compile_named(text, "sum.c").unwrap();
+        store.compiled((1, config.to_string()), || config.compile(module, None))
+    }
+
+    #[test]
+    fn vm_shares_the_stored_module() {
+        let store = ArtifactStore::new();
+        use meminstrument::Mechanism::{LowFat, RedZone, SoftBound};
+        let configs = [SoftBound, LowFat, RedZone].map(Instrument::mechanism);
+        for config in configs.iter().chain([&Instrument::baseline()]) {
+            let prog = stored(&store, config);
+            let before = Arc::strong_count(&prog.module);
+            let vm = prog.make_vm(VmConfig::default()).unwrap();
+            assert!(Arc::ptr_eq(vm.module(), &prog.module), "{config}");
+            drop(vm);
+            assert_eq!(Arc::strong_count(&prog.module), before, "{config}: handle leaked");
+        }
+    }
+
+    /// Execution never writes to the shared module: after a VM built from
+    /// a program traps half-way, two more VMs built from it in turn (one
+    /// adopting the trapping VM's bytecode) give the same cell as a VM
+    /// built from a separate compilation.
+    #[test]
+    fn vms_built_in_turn_from_one_program_agree() {
+        let store = ArtifactStore::new();
+        let config = Instrument::mechanism(meminstrument::Mechanism::SoftBound);
+        let ctl = JobCtl::default();
+        for backend in [VmBackend::Bytecode, VmBackend::Walk] {
+            let vm_cfg = VmConfig { backend, ..VmConfig::default() };
+            let prog = stored(&store, &config);
+            let ir = mir::printer::print_module(&prog.module);
+            let first = run_vm_stage(&prog, VmConfig { max_cost: 40, ..vm_cfg }, &ctl, None, true);
+            assert!(matches!(first.outcome, Err(Trap::CostLimit)), "{:?}", first.outcome);
+            assert_eq!(first.image.is_some(), backend == VmBackend::Bytecode);
+            let second = run_vm_stage(&prog, vm_cfg, &ctl, first.image.as_ref(), false).outcome;
+            let third = run_vm_stage(&prog, vm_cfg, &ctl, None, false).outcome;
+            let fresh = stored(&ArtifactStore::new(), &config);
+            assert!(!Arc::ptr_eq(&fresh.module, &prog.module));
+            let separate = run_vm_stage(&fresh, vm_cfg, &ctl, None, false).outcome;
+            let ok = second.unwrap();
+            assert_eq!(ok.output, ["46"]);
+            assert_eq!(ok.stats.checks_executed, 4);
+            assert_eq!(ok, third.unwrap(), "{backend:?}");
+            assert_eq!(ok, separate.unwrap(), "{backend:?}");
+            assert_eq!(mir::printer::print_module(&prog.module), ir);
+        }
+    }
+
+    #[test]
+    fn softbound_image_is_refused_by_a_lowfat_vm() {
+        let store = ArtifactStore::new();
+        let vm_cfg = VmConfig { backend: VmBackend::Bytecode, ..VmConfig::default() };
+        let sb = stored(&store, &Instrument::mechanism(meminstrument::Mechanism::SoftBound));
+        let lf = stored(&store, &Instrument::mechanism(meminstrument::Mechanism::LowFat));
+        let image = sb.make_vm(vm_cfg).unwrap().bytecode_image();
+        let mut vm = lf.make_vm(vm_cfg).unwrap();
+        let err = vm.adopt_bytecode(&image).unwrap_err();
+        assert!(err.starts_with("host function @__sb_"), "{err}");
+        assert!(err.ends_with("not in registry"), "{err}");
+        // The VM stage falls back to compiling its own bytecode.
+        let adopted = run_vm_stage(&lf, vm_cfg, &JobCtl::default(), Some(&image), false);
+        let own = run_vm_stage(&lf, vm_cfg, &JobCtl::default(), None, false);
+        assert_eq!(adopted.outcome.unwrap(), own.outcome.unwrap());
+    }
+
     #[test]
     fn store_keeps_configs_apart_that_differ_only_in_flags() {
         // Wrapper checks catch the overflowing memcpy; plain SoftBound

@@ -435,7 +435,7 @@ mod tests {
         let store = ArtifactStore::new();
         let module = || mir::builder::ModuleBuilder::new("m").finish();
         let prog = || CompiledProgram {
-            module: module(),
+            module: module().into(),
             mechanism: None,
             stats: Default::default(),
             elisions: Vec::new(),

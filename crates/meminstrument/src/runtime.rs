@@ -56,8 +56,9 @@ impl Default for BuildOptions {
 /// An instrumented (or baseline) module ready to execute.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
-    /// The optimized, instrumented module.
-    pub module: Module,
+    /// The optimized, instrumented module. Every VM built from this program
+    /// shares it; none copies it.
+    pub module: Arc<Module>,
     /// The mechanism (`None` for the uninstrumented baseline).
     pub mechanism: Option<Mechanism>,
     /// Static instrumentation statistics.
@@ -116,7 +117,7 @@ pub fn complete(
     let Some(config) = config else {
         p.resume_at(&mut module, opts.ep, None, rec);
         return CompiledProgram {
-            module,
+            module: Arc::new(module),
             mechanism: None,
             stats: InstrStats::default(),
             elisions: Vec::new(),
@@ -125,7 +126,7 @@ pub fn complete(
     let mut pass = MemInstrumentPass::new(config.clone()).with_summaries(summaries);
     p.resume_at(&mut module, opts.ep, Some(&mut pass), rec);
     CompiledProgram {
-        module,
+        module: Arc::new(module),
         mechanism: Some(config.mechanism),
         stats: pass.stats,
         elisions: pass.elisions,
@@ -150,30 +151,32 @@ pub fn compile_baseline_from_prefix(module: Module, opts: BuildOptions) -> Compi
 }
 
 impl CompiledProgram {
-    /// Builds a VM with the matching runtime installed.
+    /// Builds a VM with the matching runtime installed. The VM shares
+    /// [`CompiledProgram::module`]; it owns only its memory, host registry
+    /// and execution state.
     ///
     /// # Errors
     ///
     /// Propagates VM load failures.
     pub fn make_vm(&self, vm_config: VmConfig) -> Result<Vm, Trap> {
         match self.mechanism {
-            None => Vm::new(self.module.clone(), vm_config),
+            None => Vm::new(Arc::clone(&self.module), vm_config),
             Some(Mechanism::SoftBound) => {
-                let mut vm = Vm::new(self.module.clone(), vm_config)?;
+                let mut vm = Vm::new(Arc::clone(&self.module), vm_config)?;
                 install_softbound(&mut vm, None);
                 Ok(vm)
             }
             Some(Mechanism::LowFat) => {
                 let heap = Rc::new(RefCell::new(LowFatHeap::new()));
                 let mut placer = LowFatPlacer { heap: heap.clone() };
-                let mut vm = Vm::with_placer(self.module.clone(), vm_config, &mut placer)?;
+                let mut vm = Vm::with_placer(Arc::clone(&self.module), vm_config, &mut placer)?;
                 install_lowfat(&mut vm, heap);
                 Ok(vm)
             }
             Some(Mechanism::RedZone) => {
                 let shadow = Rc::new(RefCell::new(RzState::new()));
                 let mut placer = RedZonePlacer { shadow: shadow.clone() };
-                let mut vm = Vm::with_placer(self.module.clone(), vm_config, &mut placer)?;
+                let mut vm = Vm::with_placer(Arc::clone(&self.module), vm_config, &mut placer)?;
                 install_redzone(&mut vm, shadow);
                 Ok(vm)
             }
@@ -194,7 +197,7 @@ impl CompiledProgram {
     /// Panics if this program is not a SoftBound build.
     pub fn make_vm_sb_logged(&self, vm_config: VmConfig, log: SbAccessLog) -> Result<Vm, Trap> {
         assert_eq!(self.mechanism, Some(Mechanism::SoftBound), "access log is SoftBound-only");
-        let mut vm = Vm::new(self.module.clone(), vm_config)?;
+        let mut vm = Vm::new(Arc::clone(&self.module), vm_config)?;
         install_softbound(&mut vm, Some(log));
         Ok(vm)
     }
@@ -301,19 +304,16 @@ pub struct SbAccess {
 /// [`CompiledProgram::make_vm_sb_logged`].
 pub type SbAccessLog = Rc<RefCell<Vec<SbAccess>>>;
 
-/// Snapshot of the module's check-site table, captured when the runtime is
-/// installed and shared (via `Rc`) by the check closures. Lets the runtime
-/// attribute dynamic check executions to source lines (per-site profile)
-/// and render ASan-style provenance in violation reports.
-struct SiteTable {
-    src_file: Option<String>,
-    sites: Vec<CheckSite>,
-}
+/// The module's check-site table, read through the VM's shared module
+/// handle by the check closures. Lets the runtime attribute dynamic check
+/// executions to source lines (per-site profile) and render ASan-style
+/// provenance in violation reports.
+#[derive(Clone)]
+struct SiteTable(Arc<Module>);
 
 impl SiteTable {
-    fn of(vm: &Vm) -> Rc<SiteTable> {
-        let m = vm.module();
-        Rc::new(SiteTable { src_file: m.src_file.clone(), sites: m.check_sites.clone() })
+    fn of(vm: &Vm) -> SiteTable {
+        SiteTable(Arc::clone(vm.module()))
     }
 
     /// Resolves a check call's trailing site-id operand. `None` for calls
@@ -321,7 +321,7 @@ impl SiteTable {
     /// IR) — those still check, they just go unattributed.
     fn site(&self, arg: Option<&RtVal>) -> Option<(usize, &CheckSite)> {
         let id = arg?.as_int() as usize;
-        self.sites.get(id).map(|s| (id, s))
+        self.0.check_sites.get(id).map(|s| (id, s))
     }
 
     /// Records one execution of the site in the VM's per-site profile,
@@ -351,7 +351,7 @@ impl SiteTable {
                     SiteKind::Wrapper => "wrapper-check",
                     SiteKind::Invariant => "invariant",
                 };
-                let prov = s.describe_violation(self.src_file.as_deref());
+                let prov = s.describe_violation(self.0.src_file.as_deref());
                 violation(mechanism, kind, addr, format!("{prov}; {detail}"))
             }
             None => violation(mechanism, default_kind, addr, detail),

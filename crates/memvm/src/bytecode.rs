@@ -27,7 +27,9 @@
 //! semantics.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use mir::hash::KeyMap;
 use mir::instr::{BinOp, CastOp, FcmpPred, IcmpPred, InstrKind, Operand, Terminator};
 use mir::module::Module;
 use mir::types::Type;
@@ -343,7 +345,7 @@ pub enum Op {
         args: Box<[Src]>,
     },
     /// Indirect call; the per-function-ID dispatch targets live in
-    /// [`BcModule::targets`].
+    /// [`BcCode::targets`].
     CallIndirect {
         dst: u32,
         void: bool,
@@ -529,22 +531,41 @@ impl std::fmt::Debug for BcFunc {
     }
 }
 
-/// A compiled module: one [`BcFunc`] per defined function, plus the shared
-/// pools the opcodes reference.
+/// A compiled module: the shared, host-free [`BcImage`] plus this VM's
+/// host table (the resolved closures and their check fast paths).
 #[derive(Clone)]
 pub struct BcModule {
-    /// Compiled bodies, indexed by function ID (`None` for declarations).
-    pub funcs: Vec<Option<BcFunc>>,
-    /// Snapshot of the resolved host functions.
+    /// The compiled code, shared with every VM that captured or adopted it.
+    pub image: BcImage,
+    /// Snapshot of the resolved host functions, parallel to
+    /// [`BcCode::host_names`].
     pub hosts: Vec<HostFn>,
-    /// Names of the snapshot entries, parallel to `hosts`.
-    pub host_names: Vec<String>,
-    /// Metrics class of each snapshot entry, parallel to `hosts`
-    /// (pre-computed so the dispatch loop never classifies by name).
-    pub host_classes: Vec<OpClass>,
     /// Check fast path of each snapshot entry, parallel to `hosts` (`None`
     /// for helpers registered without one).
     pub host_fast: Vec<Option<CheckFastPath>>,
+}
+
+impl std::fmt::Debug for BcModule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BcModule")
+            .field("funcs", &self.image.funcs.len())
+            .field("hosts", &self.image.host_names)
+            .finish()
+    }
+}
+
+/// The host-free part of a compiled module: one [`BcFunc`] per defined
+/// function, plus the pools the opcodes reference. Host-pool entries are
+/// kept by name; a VM resolves them to closures against its own registry.
+#[derive(Clone, Default, Debug)]
+pub struct BcCode {
+    /// Compiled bodies, indexed by function ID (`None` for declarations).
+    pub funcs: Vec<Option<BcFunc>>,
+    /// Names of the host-pool entries, in pool order.
+    pub host_names: Vec<String>,
+    /// Metrics class of each host-pool entry, parallel to `host_names`
+    /// (pre-computed so the dispatch loop never classifies by name).
+    pub host_classes: Vec<OpClass>,
     /// Pool of unknown-function names referenced by `Src::BadFunc`,
     /// `Op::CallUnknown` and `CallTarget::Unknown`.
     pub names: Vec<String>,
@@ -554,55 +575,32 @@ pub struct BcModule {
     pub nsites: usize,
 }
 
-impl std::fmt::Debug for BcModule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BcModule")
-            .field("funcs", &self.funcs.len())
-            .field("hosts", &self.host_names)
-            .finish()
+/// A thread-shareable handle on compiled [`BcCode`]: cloning it shares the
+/// code, never copies a function body. Taken from a VM by
+/// [`crate::interp::Vm::bytecode_image`] and re-armed against another VM's
+/// registry by [`crate::interp::Vm::adopt_bytecode`] — the basis of
+/// cross-job bytecode caching in the artifact store and the evaluation
+/// service.
+#[derive(Clone, Default, Debug)]
+pub struct BcImage(Arc<BcCode>);
+
+impl From<BcCode> for BcImage {
+    fn from(code: BcCode) -> BcImage {
+        BcImage(Arc::new(code))
     }
 }
 
-/// A thread-shareable snapshot of a compiled module: everything in
-/// [`BcModule`] except the host-function closures (which are `Rc`-backed
-/// and therefore pinned to one thread). Produced by [`BcModule::image`],
-/// re-armed against a concrete VM's registry by
-/// [`crate::interp::Vm::adopt_bytecode`] — the basis of cross-connection
-/// bytecode caching in the evaluation service.
-#[derive(Clone, Default, Debug)]
-pub struct BcImage {
-    /// Compiled bodies, indexed by function ID (`None` for declarations).
-    pub funcs: Vec<Option<BcFunc>>,
-    /// Names of the host-pool entries, in pool order; resolved back to
-    /// closures at adoption time.
-    pub host_names: Vec<String>,
-    /// Metrics class of each host-pool entry, parallel to `host_names`.
-    pub host_classes: Vec<OpClass>,
-    /// Pool of unknown-function names.
-    pub names: Vec<String>,
-    /// Indirect-call dispatch target per function ID.
-    pub targets: Vec<CallTarget>,
-    /// Number of check sites in the source module.
-    pub nsites: usize,
-}
-
-impl BcModule {
-    /// Snapshots this module into a host-free [`BcImage`].
-    pub fn image(&self) -> BcImage {
-        BcImage {
-            funcs: self.funcs.clone(),
-            host_names: self.host_names.clone(),
-            host_classes: self.host_classes.clone(),
-            names: self.names.clone(),
-            targets: self.targets.clone(),
-            nsites: self.nsites,
-        }
+impl std::ops::Deref for BcImage {
+    type Target = BcCode;
+    fn deref(&self) -> &BcCode {
+        &self.0
     }
 }
 
 impl BcImage {
-    /// Rebuilds a runnable [`BcModule`] by resolving every host-pool entry
-    /// (closure and check fast path) against `registry`.
+    /// Builds a runnable [`BcModule`] on this code by resolving every
+    /// host-pool entry (closure and check fast path) against `registry`.
+    /// Only the host table is built; the code itself is shared.
     ///
     /// # Errors
     ///
@@ -617,14 +615,9 @@ impl BcImage {
             }
         }
         Ok(BcModule {
-            funcs: self.funcs.clone(),
+            image: self.clone(),
             hosts,
             host_fast: self.host_names.iter().map(|n| registry.fast_path(n)).collect(),
-            host_names: self.host_names.clone(),
-            host_classes: self.host_classes.clone(),
-            names: self.names.clone(),
-            targets: self.targets.clone(),
-            nsites: self.nsites,
         })
     }
 }
@@ -652,13 +645,13 @@ struct Cx<'a> {
     global_addrs: &'a [u64],
     func_to_addr: &'a HashMap<String, u64>,
     names: Vec<String>,
-    name_ix: HashMap<String, u32>,
+    name_ix: KeyMap<String, u32>,
     hosts: Vec<HostFn>,
     host_fast: Vec<Option<CheckFastPath>>,
     host_names: Vec<String>,
     host_classes: Vec<OpClass>,
-    host_ix: HashMap<String, u32>,
-    resolve_memo: HashMap<String, Resolved>,
+    host_ix: KeyMap<String, u32>,
+    resolve_memo: KeyMap<String, Resolved>,
 }
 
 impl Cx<'_> {
@@ -706,9 +699,9 @@ impl Cx<'_> {
 
 struct FnCx {
     consts: Vec<RtVal>,
-    const_ix: HashMap<(bool, u64), u32>,
+    const_ix: KeyMap<(bool, u64), u32>,
     types: Vec<Type>,
-    type_ix: HashMap<Type, u32>,
+    type_ix: KeyMap<Type, u32>,
 }
 
 impl FnCx {
@@ -761,13 +754,13 @@ pub fn compile(
         global_addrs,
         func_to_addr,
         names: Vec::new(),
-        name_ix: HashMap::new(),
+        name_ix: KeyMap::default(),
         hosts: Vec::new(),
         host_fast: Vec::new(),
         host_names: Vec::new(),
         host_classes: Vec::new(),
-        host_ix: HashMap::new(),
-        resolve_memo: HashMap::new(),
+        host_ix: KeyMap::default(),
+        resolve_memo: KeyMap::default(),
     };
 
     // Indirect-call dispatch targets: one per function ID, resolved through
@@ -793,14 +786,16 @@ pub fn compile(
     }
 
     BcModule {
-        funcs,
+        image: BcImage::from(BcCode {
+            funcs,
+            host_names: cx.host_names,
+            host_classes: cx.host_classes,
+            names: cx.names,
+            targets,
+            nsites: module.check_sites.len(),
+        }),
         hosts: cx.hosts,
         host_fast: cx.host_fast,
-        host_names: cx.host_names,
-        host_classes: cx.host_classes,
-        names: cx.names,
-        targets,
-        nsites: module.check_sites.len(),
     }
 }
 
@@ -809,9 +804,9 @@ fn compile_function(cx: &mut Cx<'_>, func: &mir::function::Function) -> BcFunc {
     let discard = nvalues as u32;
     let mut fx = FnCx {
         consts: Vec::new(),
-        const_ix: HashMap::new(),
+        const_ix: KeyMap::default(),
         types: Vec::new(),
-        type_ix: HashMap::new(),
+        type_ix: KeyMap::default(),
     };
 
     // Leading phi clusters per block (compiled into edge move lists).
@@ -839,7 +834,7 @@ fn compile_function(cx: &mut Cx<'_>, func: &mir::function::Function) -> BcFunc {
     let mut ops: Vec<Op> = Vec::with_capacity(pc as usize);
     let mut locs: Vec<Option<u32>> = Vec::with_capacity(pc as usize);
     let mut edges: Vec<Box<[MoveEntry]>> = Vec::new();
-    let mut edge_memo: HashMap<(usize, usize), u32> = HashMap::new();
+    let mut edge_memo: KeyMap<(usize, usize), u32> = KeyMap::default();
 
     for (bi, block) in func.blocks.iter().enumerate() {
         for &iid in block.instrs.iter().skip(leading_phis[bi]) {
@@ -951,7 +946,7 @@ fn edge_for(
     func: &mir::function::Function,
     leading_phis: &[usize],
     edges: &mut Vec<Box<[MoveEntry]>>,
-    memo: &mut HashMap<(usize, usize), u32>,
+    memo: &mut KeyMap<(usize, usize), u32>,
     pred: usize,
     succ: usize,
 ) -> u32 {
@@ -1341,7 +1336,7 @@ fn checked_access(w: &[Op], fast: &[Option<CheckFastPath>]) -> Option<(Op, usize
 // Validation
 // ---------------------------------------------------------------------------
 
-impl BcModule {
+impl BcCode {
     /// Structural sanity check: every register operand fits the declared
     /// frame size, every pool index is in range, every branch target and
     /// edge ID is valid, and every decoded check-site ID is in range of the
@@ -1662,12 +1657,12 @@ mod tests {
             .collect();
         let globals = vec![0x1000; module.globals.len()];
         let code = compile(&module, &registry, &cost, &globals, &addrs);
-        code.validate().unwrap();
+        code.image.validate().unwrap();
         code
     }
 
     fn main_ops(code: &BcModule) -> &[Op] {
-        &code.funcs[0].as_ref().unwrap().ops
+        &code.image.funcs[0].as_ref().unwrap().ops
     }
 
     const CONDITION: &str = "bb0:
@@ -1791,28 +1786,28 @@ bb1:
 
     /// Corrupts one field of a compiled module and expects `validate` to
     /// name the problem.
-    fn rejects(code: &BcModule, what: &str, corrupt: impl FnOnce(&mut BcModule)) {
+    fn rejects(code: &BcCode, what: &str, corrupt: impl FnOnce(&mut BcCode)) {
         let mut bad = code.clone();
         corrupt(&mut bad);
         let err = bad.validate().expect_err(what);
         assert!(err.contains(what), "{what}: {err}");
     }
 
-    fn op_mut(code: &mut BcModule, pc: usize) -> &mut Op {
+    fn op_mut(code: &mut BcCode, pc: usize) -> &mut Op {
         &mut code.funcs[0].as_mut().unwrap().ops[pc]
     }
 
-    fn test(code: &mut BcModule) -> &mut TestBrOp {
+    fn test(code: &mut BcCode) -> &mut TestBrOp {
         let Op::TestBr(t) = op_mut(code, 1) else { unreachable!() };
         t
     }
 
-    fn access(code: &mut BcModule) -> &mut CheckedAccessOp {
+    fn access(code: &mut BcCode) -> &mut CheckedAccessOp {
         let Op::CheckedAccess(a) = op_mut(code, 3) else { unreachable!() };
         a
     }
 
-    fn check(code: &mut BcModule) -> &mut CheckOp {
+    fn check(code: &mut BcCode) -> &mut CheckOp {
         let Op::SbCheck(co) = op_mut(code, 4) else { unreachable!() };
         co
     }
@@ -1835,29 +1830,30 @@ bb2:
 bb3:
   ret %i",
         );
+        let code = &*code.image;
         let bf = code.funcs[0].as_ref().unwrap();
         let (nregs, nops, nedges) = (bf.nregs, bf.ops.len() as u32, bf.edges.len() as u32);
         assert!(matches!(bf.ops[0], Op::BrTest { .. }));
         assert!(matches!(bf.ops[1], Op::TestBr(_)));
         assert!(matches!(bf.ops[3], Op::CheckedAccess(_)));
-        rejects(&code, "register", |c| test(c).dst = nregs);
-        rejects(&code, "register", |c| test(c).test = nregs);
-        rejects(&code, "register", |c| test(c).lhs = Src::Reg(nregs));
-        rejects(&code, "branch target", |c| test(c).et = nops);
-        rejects(&code, "edge", |c| test(c).te = nedges);
-        rejects(&code, "branch target", |c| *op_mut(c, 0) = Op::BrTest { target: nops, edge: 0 });
-        rejects(&code, "edge", |c| *op_mut(c, 0) = Op::BrTest { target: 1, edge: nedges });
-        rejects(&code, "not a test-branch", |c| {
+        rejects(code, "register", |c| test(c).dst = nregs);
+        rejects(code, "register", |c| test(c).test = nregs);
+        rejects(code, "register", |c| test(c).lhs = Src::Reg(nregs));
+        rejects(code, "branch target", |c| test(c).et = nops);
+        rejects(code, "edge", |c| test(c).te = nedges);
+        rejects(code, "branch target", |c| *op_mut(c, 0) = Op::BrTest { target: nops, edge: 0 });
+        rejects(code, "edge", |c| *op_mut(c, 0) = Op::BrTest { target: 1, edge: nedges });
+        rejects(code, "not a test-branch", |c| {
             *op_mut(c, 0) = Op::BrTest { target: 3, edge: NO_EDGE }
         });
-        rejects(&code, "register", |c| access(c).dst = nregs);
-        rejects(&code, "register", |c| access(c).base = Src::Reg(nregs));
-        rejects(&code, "register", |c| {
+        rejects(code, "register", |c| access(c).dst = nregs);
+        rejects(code, "register", |c| access(c).base = Src::Reg(nregs));
+        rejects(code, "register", |c| {
             access(c).term.as_mut().unwrap().src = Src::Reg(nregs);
         });
-        rejects(&code, "host", |c| check(c).host = u32::MAX - 1);
-        rejects(&code, "check site", |c| check(c).site = 1);
-        rejects(&code, "lacks its check", |c| *op_mut(c, 4) = Op::Nop);
+        rejects(code, "host", |c| check(c).host = u32::MAX - 1);
+        rejects(code, "check site", |c| check(c).site = 1);
+        rejects(code, "lacks its check", |c| *op_mut(c, 4) = Op::Nop);
     }
 
     #[test]

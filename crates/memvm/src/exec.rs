@@ -30,7 +30,7 @@ fn fetch(code: &BcModule, bf: &BcFunc, frame: &[RtVal], s: Src) -> Result<RtVal,
     match s {
         Src::Reg(r) => Ok(frame[r as usize]),
         Src::Const(c) => Ok(bf.consts[c as usize]),
-        Src::BadFunc(n) => Err(Trap::UnknownFunction(code.names[n as usize].clone())),
+        Src::BadFunc(n) => Err(Trap::UnknownFunction(code.image.names[n as usize].clone())),
     }
 }
 
@@ -184,7 +184,7 @@ impl Vm {
         mut args: Vec<RtVal>,
     ) -> Result<Option<RtVal>, Trap> {
         let code = Rc::clone(code);
-        let bf = code.funcs[fidx].as_ref().expect("call into declaration body");
+        let bf = code.image.funcs[fidx].as_ref().expect("call into declaration body");
         // Register frames are recycled through `frame_pool`: a trap abandons
         // the frame to the allocator, which is fine because traps always
         // abort the whole execution.
@@ -766,11 +766,11 @@ impl Vm {
             }
             Op::CallIndirect { dst, void, charge, callee, args } => {
                 let target = fetch(code, bf, frame, *callee)?.as_int();
-                let fid = decode_func_addr(target, code.funcs.len())
+                let fid = decode_func_addr(target, code.image.funcs.len())
                     .ok_or(Trap::BadIndirectCall(target))?;
                 let mut argv = self.frame_pool.pop().unwrap_or_default();
                 fetch_args_into(code, bf, frame, args, &mut argv)?;
-                match code.targets[fid] {
+                match code.image.targets[fid] {
                     CallTarget::Static(f) => {
                         self.charge_app(OpClass::Call, *charge)?;
                         if let Some(v) = self.exec_bc(code, f as usize, argv, loc)? {
@@ -785,7 +785,7 @@ impl Vm {
                         }
                     }
                     CallTarget::Unknown(n) => {
-                        return Err(Trap::UnknownFunction(code.names[n as usize].clone()));
+                        return Err(Trap::UnknownFunction(code.image.names[n as usize].clone()));
                     }
                 }
             }
@@ -831,7 +831,7 @@ impl Vm {
                 for &a in args.iter() {
                     fetch(code, bf, frame, a)?;
                 }
-                return Err(Trap::UnknownFunction(code.names[*name as usize].clone()));
+                return Err(Trap::UnknownFunction(code.image.names[*name as usize].clone()));
             }
             _ => unreachable!("non-host opcode routed to bc_call_leaf"),
         }
@@ -858,7 +858,7 @@ impl Vm {
         reserve: u64,
     ) -> bool {
         let Some(fast) = code.host_fast[c.host as usize] else { return false };
-        if c.site as usize >= code.nsites
+        if c.site as usize >= code.image.nsites
             || self.stats.cost_total.saturating_add(fast.charge + reserve) >= self.next_event_at
         {
             return false;
@@ -876,7 +876,7 @@ impl Vm {
         self.stats.checks_executed += 1;
         self.stats.checks_wide += wide as u64;
         self.profile.record(c.site as usize, wide, fast.charge);
-        self.op_metrics.record(code.host_classes[c.host as usize], fast.charge);
+        self.op_metrics.record(code.image.host_classes[c.host as usize], fast.charge);
         true
     }
 
@@ -894,7 +894,7 @@ impl Vm {
         loc: Option<u32>,
     ) -> Result<RtVal, Trap> {
         let hf = &code.hosts[h as usize];
-        let class = code.host_classes[h as usize];
+        let class = code.image.host_classes[h as usize];
         if let Some(s) = &mut self.sampler {
             s.push_id(self.flame_host_ids[h as usize], loc);
         }

@@ -326,11 +326,11 @@ mod tests {
         reg.register_check("__sb_check", |_ctx, _args| Ok(RtVal::Int(0)), fast);
         assert_eq!(reg.fast_path("__sb_check").map(|f| f.charge), Some(7));
         // Resolving a bytecode image re-arms the fast path with the closure.
-        let image = crate::BcImage {
+        let image = crate::BcImage::from(crate::BcCode {
             host_names: vec!["__sb_check".into()],
             host_classes: vec![crate::OpClass::CheckSb],
             ..Default::default()
-        };
+        });
         let armed = |reg: &HostRegistry| image.resolve(reg).unwrap().host_fast[0].is_some();
         assert!(armed(&reg));
         // A plain re-registration replaces the helper and drops its fast path.

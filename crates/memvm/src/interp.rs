@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use mir::ids::{BlockId, FuncId};
 use mir::instr::{BinOp, CastOp, FcmpPred, IcmpPred, InstrKind, Operand, Terminator};
@@ -220,7 +222,9 @@ impl GlobalPlacer for DefaultPlacer {
 
 /// The virtual machine.
 pub struct Vm {
-    pub(crate) module: std::rc::Rc<Module>,
+    /// The loaded module, shared with the compiled program it came from
+    /// (and with every other VM built from it); execution never mutates it.
+    pub(crate) module: Arc<Module>,
     pub(crate) config: VmConfig,
     pub(crate) registry: HostRegistry,
     pub(crate) mem: Memory,
@@ -234,7 +238,7 @@ pub struct Vm {
     pub(crate) call_depth: u32,
     /// Compiled bytecode, cached with the registry version it was resolved
     /// against (installing a runtime library invalidates it).
-    pub(crate) code: Option<(u64, std::rc::Rc<BcModule>)>,
+    pub(crate) code: Option<(u64, Rc<BcModule>)>,
     /// Retired bytecode register frames, recycled across calls so the
     /// dispatch loop does not pay an allocation per function invocation.
     pub(crate) frame_pool: Vec<Vec<RtVal>>,
@@ -291,20 +295,22 @@ impl Vm {
     ///
     /// Returns a [`Trap`] if loading fails (it currently never does, but the
     /// signature leaves room for load-time validation).
-    pub fn new(module: Module, config: VmConfig) -> Result<Vm, Trap> {
+    pub fn new(module: impl Into<Arc<Module>>, config: VmConfig) -> Result<Vm, Trap> {
         Vm::with_placer(module, config, &mut DefaultPlacer)
     }
 
-    /// Loads `module`, consulting `placer` for every global variable.
+    /// Loads `module`, consulting `placer` for every global variable. A
+    /// module passed as an `Arc` is shared, not copied.
     ///
     /// # Errors
     ///
     /// Returns a [`Trap`] if loading fails.
     pub fn with_placer(
-        module: Module,
+        module: impl Into<Arc<Module>>,
         config: VmConfig,
         placer: &mut dyn GlobalPlacer,
     ) -> Result<Vm, Trap> {
+        let module = module.into();
         let registry = default_registry(&config.cost);
         let mut mem = Memory::new();
 
@@ -345,7 +351,7 @@ impl Vm {
         }
 
         Ok(Vm {
-            module: std::rc::Rc::new(module),
+            module,
             config,
             registry,
             mem,
@@ -403,7 +409,7 @@ impl Vm {
     }
 
     /// The loaded module.
-    pub fn module(&self) -> &Module {
+    pub fn module(&self) -> &Arc<Module> {
         &self.module
     }
 
@@ -452,7 +458,12 @@ impl Vm {
         };
         self.rearm_budget();
         let ret = match self.config.backend {
-            VmBackend::Walk => self.exec_function(fid, args.to_vec(), None)?,
+            VmBackend::Walk => {
+                // One handle for the whole run: the walker borrows the
+                // module through it while `self` is mutated.
+                let module = Arc::clone(&self.module);
+                self.exec_function(&module, fid, args.to_vec(), None)?
+            }
             VmBackend::Bytecode => {
                 let code = self.bytecode();
                 self.exec_bc(&code, fid.index(), args.to_vec(), None)?
@@ -480,39 +491,46 @@ impl Vm {
     /// The module compiled to bytecode against the current VM state (placed
     /// globals, host registry, cost model). Compiled once and cached; the
     /// cache is invalidated when the registry changes.
-    pub fn bytecode(&mut self) -> std::rc::Rc<BcModule> {
-        let version = self.registry.version();
+    pub fn bytecode(&mut self) -> Rc<BcModule> {
         if let Some((v, code)) = &self.code {
-            if *v == version {
-                return std::rc::Rc::clone(code);
+            if *v == self.registry.version() {
+                return Rc::clone(code);
             }
         }
-        let code = std::rc::Rc::new(bytecode::compile(
+        let code = bytecode::compile(
             &self.module,
             &self.registry,
             &self.config.cost,
             &self.global_addrs,
             &self.func_to_addr,
-        ));
-        self.code = Some((version, std::rc::Rc::clone(&code)));
+        );
+        self.install_code(code)
+    }
+
+    /// Caches `code` against the current registry version and, when the
+    /// sampler is on, pre-interns every callee name so the bytecode call
+    /// path pushes frames by id without hashing. Declarations keep a
+    /// sentinel; they have no body to execute under.
+    fn install_code(&mut self, code: BcModule) -> Rc<BcModule> {
+        let code = Rc::new(code);
+        self.code = Some((self.registry.version(), Rc::clone(&code)));
         if let Some(s) = &mut self.sampler {
-            // Pre-intern every callee name so the bytecode call path pushes
-            // frames by id without hashing. Declarations keep a sentinel;
-            // they have no body to execute under.
-            self.flame_fn_ids = code
+            let image = &code.image;
+            self.flame_fn_ids = image
                 .funcs
                 .iter()
                 .map(|f| f.as_ref().map_or(u32::MAX, |f| s.intern(&f.name)))
                 .collect();
-            self.flame_host_ids = code.host_names.iter().map(|n| s.intern(n)).collect();
+            self.flame_host_ids = image.host_names.iter().map(|n| s.intern(n)).collect();
         }
         code
     }
 
-    /// A host-free, thread-shareable snapshot of the compiled bytecode
-    /// (compiling it first if needed). See [`Vm::adopt_bytecode`].
+    /// A host-free, thread-shareable handle on the compiled bytecode
+    /// (compiling it first if needed). The handle shares the code with
+    /// this VM; nothing is copied. See [`Vm::adopt_bytecode`].
     pub fn bytecode_image(&mut self) -> bytecode::BcImage {
-        self.bytecode().image()
+        self.bytecode().image.clone()
     }
 
     /// Installs a pre-compiled bytecode image instead of compiling the
@@ -528,16 +546,8 @@ impl Vm {
     /// does not provide. The VM is left unchanged on error; callers fall
     /// back to [`Vm::prepare`].
     pub fn adopt_bytecode(&mut self, image: &bytecode::BcImage) -> Result<(), String> {
-        let code = std::rc::Rc::new(image.resolve(&self.registry)?);
-        self.code = Some((self.registry.version(), std::rc::Rc::clone(&code)));
-        if let Some(s) = &mut self.sampler {
-            self.flame_fn_ids = code
-                .funcs
-                .iter()
-                .map(|f| f.as_ref().map_or(u32::MAX, |f| s.intern(&f.name)))
-                .collect();
-            self.flame_host_ids = code.host_names.iter().map(|n| s.intern(n)).collect();
-        }
+        let code = image.resolve(&self.registry)?;
+        self.install_code(code);
         Ok(())
     }
 
@@ -608,6 +618,7 @@ impl Vm {
 
     fn exec_function(
         &mut self,
+        module: &Module,
         fid: FuncId,
         args: Vec<RtVal>,
         loc: Option<u32>,
@@ -617,10 +628,10 @@ impl Vm {
         }
         self.call_depth += 1;
         if let Some(s) = &mut self.sampler {
-            s.push(&self.module.functions[fid.index()].name, loc);
+            s.push(&module.functions[fid.index()].name, loc);
         }
         let saved_sp = self.stack_ptr;
-        let result = self.exec_function_inner(fid, args);
+        let result = self.exec_function_inner(module, fid, args);
         self.stack_ptr = saved_sp;
         self.call_depth -= 1;
         if let Some(s) = &mut self.sampler {
@@ -636,12 +647,12 @@ impl Vm {
     #[inline(never)]
     fn exec_phis(
         &mut self,
+        module: &Module,
         fid: FuncId,
         cur: BlockId,
         prev: Option<BlockId>,
         frame: &mut [Option<RtVal>],
     ) -> Result<usize, Trap> {
-        let module = std::rc::Rc::clone(&self.module);
         let func = &module.functions[fid.index()];
         let block = &func.blocks[cur.index()];
         let mut phi_updates: Vec<(usize, RtVal)> = Vec::new();
@@ -673,10 +684,10 @@ impl Vm {
 
     fn exec_function_inner(
         &mut self,
+        module: &Module,
         fid: FuncId,
         args: Vec<RtVal>,
     ) -> Result<Option<RtVal>, Trap> {
-        let module = std::rc::Rc::clone(&self.module);
         let func = &module.functions[fid.index()];
         debug_assert!(!func.is_declaration);
         let nvalues = func.values.len();
@@ -689,7 +700,7 @@ impl Vm {
         let mut prev: Option<BlockId> = None;
         loop {
             // Phase 1: evaluate all phis of this block against the old frame.
-            let first_non_phi = self.exec_phis(fid, cur, prev, &mut frame)?;
+            let first_non_phi = self.exec_phis(module, fid, cur, prev, &mut frame)?;
 
             // Phase 2: the rest of the block.
             let block = &module.functions[fid.index()].blocks[cur.index()];
@@ -699,7 +710,7 @@ impl Vm {
                 self.stats.instrs_executed += 1;
                 let loc = instr.loc.map(|l| l.line);
                 let value = self
-                    .exec_instr(fid, &mut frame, &instr.kind, loc)
+                    .exec_instr(module, fid, &mut frame, &instr.kind, loc)
                     .map_err(|t| t.with_frame(&module.functions[fid.index()].name, loc))?;
                 if let (Some(result), Some(v)) = (instr.result, value) {
                     frame[result.index()] = Some(v);
@@ -778,6 +789,7 @@ impl Vm {
     /// otherwise dominate per-recursion stack usage in debug builds.
     fn exec_instr(
         &mut self,
+        module: &Module,
         fid: FuncId,
         frame: &mut [Option<RtVal>],
         kind: &InstrKind,
@@ -787,30 +799,31 @@ impl Vm {
             InstrKind::Call { callee, args, ret } => {
                 let mut argv = Vec::with_capacity(args.len());
                 for a in args {
-                    let ty = self.module.functions[fid.index()].operand_type(a);
+                    let ty = module.functions[fid.index()].operand_type(a);
                     argv.push(self.eval(fid, frame, a, &ty)?);
                 }
-                self.dispatch_call(callee, argv, ret, loc)
+                self.dispatch_call(module, callee, argv, ret, loc)
             }
             InstrKind::CallIndirect { callee, args, ret } => {
                 let target = self.eval(fid, frame, callee, &Type::Ptr)?.as_int();
                 let callee_fid =
                     *self.addr_to_func.get(&target).ok_or(Trap::BadIndirectCall(target))?;
-                let name = self.module.functions[callee_fid.index()].name.clone();
+                let name = &module.functions[callee_fid.index()].name;
                 let mut argv = Vec::with_capacity(args.len());
                 for a in args {
-                    let ty = self.module.functions[fid.index()].operand_type(a);
+                    let ty = module.functions[fid.index()].operand_type(a);
                     argv.push(self.eval(fid, frame, a, &ty)?);
                 }
-                self.dispatch_call(&name, argv, ret, loc)
+                self.dispatch_call(module, name, argv, ret, loc)
             }
-            other => self.exec_data_instr(fid, frame, other),
+            other => self.exec_data_instr(module, fid, frame, other),
         }
     }
 
     #[inline(never)]
     fn exec_data_instr(
         &mut self,
+        module: &Module,
         fid: FuncId,
         frame: &mut [Option<RtVal>],
         kind: &InstrKind,
@@ -855,7 +868,7 @@ impl Vm {
                             *value
                         }
                         Operand::Val(v) => {
-                            let fty = self.module.functions[fid.index()].value_type(*v).clone();
+                            let fty = module.functions[fid.index()].value_type(*v).clone();
                             iv.as_signed(&fty)
                         }
                         _ => iv.as_int() as i64,
@@ -953,19 +966,20 @@ impl Vm {
 
     fn dispatch_call(
         &mut self,
+        module: &Module,
         callee: &str,
         argv: Vec<RtVal>,
         ret: &Type,
         loc: Option<u32>,
     ) -> Result<Option<RtVal>, Trap> {
         // Defined module function?
-        if let Some((callee_fid, f)) = self.module.function_by_name(callee) {
+        if let Some((callee_fid, f)) = module.function_by_name(callee) {
             if !f.is_declaration {
                 self.charge_app(
                     OpClass::Call,
                     self.config.cost.call + self.config.cost.call_per_arg * argv.len() as u64,
                 )?;
-                return self.exec_function(callee_fid, argv, loc);
+                return self.exec_function(module, callee_fid, argv, loc);
             }
         }
         // Host function?
@@ -1228,13 +1242,33 @@ mod tests {
 
         // A stale image naming an unknown host is refused, and the VM
         // still works via ordinary preparation afterwards.
-        let mut stale = image.clone();
+        let mut stale = crate::BcCode::clone(&image);
         stale.host_names.push("no-such-host".to_string());
         stale.host_classes.push(crate::OpClass::Host);
+        let stale = crate::BcImage::from(stale);
         let mut vm = Vm::new(module, cfg).unwrap();
         assert!(vm.adopt_bytecode(&stale).is_err());
         vm.prepare();
         assert!(vm.run("main", &[]).is_err());
+    }
+
+    #[test]
+    fn captured_and_adopted_images_share_code_with_the_compiling_vm() {
+        let module = Arc::new(spin_module());
+        let cfg = VmConfig { backend: crate::VmBackend::Bytecode, ..VmConfig::default() };
+        let mut donor = Vm::new(Arc::clone(&module), cfg).unwrap();
+        assert!(Arc::ptr_eq(donor.module(), &module));
+        let image = donor.bytecode_image();
+        // The same function body, not an equal copy of it.
+        let body =
+            |img: &bytecode::BcImage| -> *const bytecode::BcFunc { img.funcs[0].as_ref().unwrap() };
+        assert_eq!(body(&image), body(&donor.bytecode().image));
+
+        let mut vm = Vm::new(Arc::clone(&module), cfg).unwrap();
+        vm.adopt_bytecode(&image).unwrap();
+        assert_eq!(body(&vm.bytecode().image), body(&image));
+        // Each VM still owns its host table.
+        assert!(!Rc::ptr_eq(&vm.bytecode(), &donor.bytecode()));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod profiler;
 pub mod stats;
 pub mod value;
 
-pub use bytecode::{BcImage, BcModule, VmBackend};
+pub use bytecode::{BcCode, BcImage, BcModule, VmBackend};
 pub use cost::CostModel;
 pub use host::{CheckFastPath, CostCategory, HostCtx, HostRegistry};
 pub use interp::{ExecOutcome, Trap, Vm, VmConfig};

@@ -5,10 +5,16 @@ use crate::ids::BlockId;
 
 /// Predecessor/successor structure of a function's blocks, plus a reverse
 /// post-order (RPO) over the blocks reachable from the entry.
+///
+/// Both edge lists are flat: the successors of block `b` are
+/// `succs[succ_start[b]..succ_start[b + 1]]`, and likewise for the
+/// predecessors, so building one allocates per function, not per block.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    preds: Vec<BlockId>,
+    pred_start: Vec<u32>,
+    succs: Vec<BlockId>,
+    succ_start: Vec<u32>,
     rpo: Vec<BlockId>,
     rpo_index: Vec<Option<u32>>,
 }
@@ -17,14 +23,32 @@ impl Cfg {
     /// Computes the CFG of `f`.
     pub fn compute(f: &Function) -> Cfg {
         let n = f.blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for (bid, block) in f.iter_blocks() {
+        // Successors in block order; predecessor counts on the way.
+        let mut succs = Vec::with_capacity(2 * n);
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut pred_start = vec![0u32; n + 1];
+        for block in &f.blocks {
+            succ_start.push(succs.len() as u32);
             for s in block.term.successors() {
-                succs[bid.index()].push(s);
-                preds[s.index()].push(bid);
+                succs.push(s);
+                pred_start[s.index() + 1] += 1;
             }
         }
+        succ_start.push(succs.len() as u32);
+        // Predecessors in the same order a per-block push would give:
+        // ascending source block, then branch order.
+        for b in 0..n {
+            pred_start[b + 1] += pred_start[b];
+        }
+        let mut fill = pred_start.clone();
+        let mut preds = vec![BlockId::default(); succs.len()];
+        for b in 0..n {
+            for &s in &succs[succ_start[b] as usize..succ_start[b + 1] as usize] {
+                preds[fill[s.index()] as usize] = BlockId::new(b);
+                fill[s.index()] += 1;
+            }
+        }
+
         // Post-order DFS from entry, then reverse.
         let mut rpo = Vec::with_capacity(n);
         if n > 0 {
@@ -33,8 +57,9 @@ impl Cfg {
             let mut stack: Vec<(BlockId, usize)> = vec![(BlockId::new(0), 0)];
             visited[0] = true;
             while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-                if *i < succs[b.index()].len() {
-                    let s = succs[b.index()][*i];
+                let out =
+                    &succs[succ_start[b.index()] as usize..succ_start[b.index() + 1] as usize];
+                if let Some(&s) = out.get(*i) {
                     *i += 1;
                     if !visited[s.index()] {
                         visited[s.index()] = true;
@@ -51,17 +76,17 @@ impl Cfg {
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = Some(i as u32);
         }
-        Cfg { preds, succs, rpo, rpo_index }
+        Cfg { preds, pred_start, succs, succ_start, rpo, rpo_index }
     }
 
     /// Predecessors of `b`.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        &self.preds[self.pred_start[b.index()] as usize..self.pred_start[b.index() + 1] as usize]
     }
 
     /// Successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        &self.succs[self.succ_start[b.index()] as usize..self.succ_start[b.index() + 1] as usize]
     }
 
     /// Reverse post-order over reachable blocks (entry first).
@@ -81,7 +106,7 @@ impl Cfg {
 
     /// Number of blocks (including unreachable ones).
     pub fn block_count(&self) -> usize {
-        self.preds.len()
+        self.rpo_index.len()
     }
 }
 
@@ -119,6 +144,40 @@ mod tests {
         assert_eq!(cfg.succs(BlockId::new(0)), &[BlockId::new(1), BlockId::new(2)]);
         assert_eq!(cfg.preds(BlockId::new(3)), &[BlockId::new(1), BlockId::new(2)]);
         assert_eq!(cfg.preds(BlockId::new(0)), &[] as &[BlockId]);
+    }
+
+    /// A `condbr` with equal targets, a self-loop and a back edge: the flat
+    /// lists match per-block pushes in block order, duplicates included.
+    #[test]
+    fn flat_edge_lists_keep_block_then_branch_order() {
+        let mut mb = ModuleBuilder::new("m");
+        let mut fb = mb.function("f", vec![("c", Type::I1)], Type::Void);
+        let a = fb.new_block("a");
+        let b = fb.new_block("b");
+        let c = fb.param(0);
+        fb.cond_br(c.clone(), a, a);
+        fb.switch_to(a);
+        fb.cond_br(c.clone(), a, b);
+        fb.switch_to(b);
+        fb.cond_br(c, a, b);
+        fb.finish();
+        let m = mb.finish();
+        let (_, f) = m.function_by_name("f").unwrap();
+        let cfg = Cfg::compute(f);
+        let mut preds = vec![Vec::new(); f.blocks.len()];
+        for (bid, block) in f.iter_blocks() {
+            let succs: Vec<BlockId> = block.term.successors().collect();
+            assert_eq!(cfg.succs(bid), succs.as_slice());
+            for s in succs {
+                preds[s.index()].push(bid);
+            }
+        }
+        for (bid, _) in f.iter_blocks() {
+            assert_eq!(cfg.preds(bid), preds[bid.index()].as_slice());
+        }
+        let entry = BlockId::new(0);
+        assert_eq!(cfg.preds(a), &[entry, entry, a, b]);
+        assert_eq!(cfg.block_count(), 3);
     }
 
     #[test]

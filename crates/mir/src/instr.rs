@@ -550,13 +550,17 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
-            Terminator::Br(b) => vec![*b],
-            Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-        }
+    /// Successor blocks of this terminator, in branch order (a `condbr`
+    /// with equal targets yields its block twice). The iterator owns its
+    /// two slots, so it does not borrow the terminator and allocates
+    /// nothing.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (slots, n) = match *self {
+            Terminator::Ret(_) | Terminator::Unreachable => ([BlockId::default(); 2], 0),
+            Terminator::Br(b) => ([b, b], 1),
+            Terminator::CondBr { then_bb, else_bb, .. } => ([then_bb, else_bb], 2),
+        };
+        slots.into_iter().take(n)
     }
 
     /// Visits every operand used by the terminator.
@@ -655,15 +659,21 @@ mod tests {
             then_bb: BlockId::new(1),
             else_bb: BlockId::new(2),
         };
-        assert_eq!(t.successors(), vec![BlockId::new(1), BlockId::new(2)]);
-        assert_eq!(Terminator::Ret(None).successors(), vec![]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), [BlockId::new(1), BlockId::new(2)]);
+        assert_eq!(Terminator::Ret(None).successors().count(), 0);
+        let same = Terminator::CondBr {
+            cond: Operand::bool(true),
+            then_bb: BlockId::new(3),
+            else_bb: BlockId::new(3),
+        };
+        assert_eq!(same.successors().collect::<Vec<_>>(), [BlockId::new(3), BlockId::new(3)]);
     }
 
     #[test]
     fn replace_successor() {
         let mut t = Terminator::Br(BlockId::new(1));
         t.replace_successor(BlockId::new(1), BlockId::new(5));
-        assert_eq!(t.successors(), vec![BlockId::new(5)]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), [BlockId::new(5)]);
     }
 
     #[test]

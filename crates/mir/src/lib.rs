@@ -33,6 +33,7 @@
 pub mod analysis;
 pub mod builder;
 pub mod function;
+pub mod hash;
 pub mod ids;
 pub mod instr;
 pub mod module;

@@ -10,11 +10,11 @@
 //! which is precisely why instrumenting early in the pipeline suppresses
 //! this optimization (§5.5 of the paper).
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
 
 use crate::analysis::{Cfg, DomTree};
 use crate::function::{Function, Rewrite};
+use crate::hash::KeyMap;
 use crate::ids::{BlockId, GlobalId, ValueId};
 use crate::instr::{BinOp, CastOp, FcmpPred, IcmpPred, InstrKind, Operand};
 use crate::passes::{DomVisit, EffectInfo, FunctionPass};
@@ -118,41 +118,8 @@ fn mem_key(effects: &EffectInfo, kind: &InstrKind, rw: &Rewrite) -> Option<MemKe
     }
 }
 
-/// Multiplicative hasher for the pass's tables (the FxHash step). The keys
-/// are small enums of ids and constants from the function being compiled,
-/// not from an adversary, and SipHash took about a third of the walk.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b.into());
-        }
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(n.into());
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    fn finish(&self) -> u64 {
-        // Mix the high bits down: the table buckets on the low bits.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
 /// An availability table: canonical key → the value that computed it.
-type Table<K> = HashMap<K, Operand, BuildHasherDefault<KeyHasher>>;
+type Table<K> = KeyMap<K, Operand>;
 
 impl FunctionPass for Gvn {
     fn name(&self) -> &'static str {

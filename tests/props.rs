@@ -674,8 +674,8 @@ fn corpus_srclocs_and_site_ids_survive_the_pipeline() {
 
 /// Bytecode modules compiled from every corpus program × mechanism. The
 /// closure receives the program name, the configuration label, and the
-/// compiled module.
-fn for_each_corpus_bytecode(mut f: impl FnMut(&str, &str, &std::rc::Rc<memvm::BcModule>)) {
+/// compiled code.
+fn for_each_corpus_bytecode(mut f: impl FnMut(&str, &str, &memvm::BcCode)) {
     use memvm::VmBackend;
     let vm_config = VmConfig { backend: VmBackend::Bytecode, ..VmConfig::default() };
     for (name, src) in common::corpus() {
@@ -692,14 +692,14 @@ fn for_each_corpus_bytecode(mut f: impl FnMut(&str, &str, &std::rc::Rc<memvm::Bc
         }
         for (cfg, prog) in builds {
             let mut vm = prog.make_vm(vm_config).unwrap_or_else(|t| panic!("{name} [{cfg}]: {t}"));
-            f(&name, &cfg, &vm.bytecode());
+            f(&name, &cfg, &vm.bytecode().image);
         }
     }
 }
 
 /// Every operand register named by any opcode (sources, destinations,
 /// phi moves) stays within the function's declared frame size — the
-/// property `BcModule::validate` enforces, checked here over the whole
+/// property `BcCode::validate` enforces, checked here over the whole
 /// corpus so a register-allocation bug cannot ship silently.
 #[test]
 fn bytecode_registers_stay_within_declared_frames() {
